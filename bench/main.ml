@@ -255,86 +255,6 @@ let mc_throughput_rows () =
       };
   ]
 
-(* Cooperative frontier scaling: the same exhaustive search run by K
-   domains sharing one work-stealing frontier and one sharded visited
-   set.  [unique] is the visited-set size (the honest coverage metric —
-   the old portfolio summed K overlapping per-slice tables here);
-   [redundancy_ratio] is expanded states at K domains over the
-   sequential searcher's expansions on the same config: ~1.0 for the
-   frontier, where the portfolio paid ~K by re-exploring the same space
-   per slice.  Wall-clock (not [Sys.time], which sums CPU across
-   domains) is the throughput denominator; cpu/wall utilization is
-   reported per row so single-core containers are legible as such. *)
-type mc_parallel_row = {
-  row_name : string;
-  row_domains : int;
-  row_states : int;  (** expanded, including frontier replays *)
-  row_unique : int;  (** visited-set size: distinct states explored *)
-  row_redundancy : float;  (** expanded / sequential expanded *)
-  row_seconds : float;
-  row_cpu_seconds : float;
-  row_utilization : float;  (** cpu_seconds / seconds *)
-  row_unique_per_sec : float;
-  row_exhaustive : bool;
-}
-
-let mc_parallel_measure ~name ?budgets ?target ~baseline_states cfg domains =
-  let c0 = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let o = Mc.Checker.search_parallel ?budgets ?target ~domains cfg in
-  let dt = Unix.gettimeofday () -. t0 in
-  let cpu = Sys.time () -. c0 in
-  let s = o.Mc.Checker.stats in
-  let states = s.Mc.Checker.states in
-  let unique = s.Mc.Checker.peak_visited in
-  {
-    row_name = Printf.sprintf "%s, %d domain(s)" name domains;
-    row_domains = domains;
-    row_states = states;
-    row_unique = unique;
-    row_redundancy = float_of_int states /. float_of_int (max 1 baseline_states);
-    row_seconds = dt;
-    row_cpu_seconds = cpu;
-    row_utilization = cpu /. Float.max dt 1e-9;
-    row_unique_per_sec = float_of_int unique /. Float.max dt 1e-9;
-    row_exhaustive = o.Mc.Checker.exhaustive;
-  }
-
-let mc_parallel_rows () =
-  let baseline_states =
-    (Mc.Checker.search mc_tiny_cfg).Mc.Checker.stats.Mc.Checker.states
-  in
-  List.map
-    (fun domains ->
-      mc_parallel_measure ~name:"mc-frontier: regular n=3 t=0"
-        ~baseline_states mc_tiny_cfg domains)
-    [ 1; 2; 4 ]
-
-(* The soak row: the first exhaustive *multi-Byzantine* n=4
-   configuration — two silent servers against t=1, every interleaving
-   checked for an inversion (the `--target` filter keeps the search
-   walking past the ubiquitous stuck terminals, so exhaustiveness is
-   meaningful).  One-shot at 4 domains — this is the CI-soak-budget
-   witness recorded in BENCH_6.json. *)
-let mc_soak_row () =
-  let cfg =
-    {
-      mc_tiny_cfg with
-      Mc.Config.n = 4;
-      f = 1;
-      byz = [ (0, Mc.Config.Silent); (1, Mc.Config.Silent) ];
-      read_budget = 8;
-    }
-  in
-  let baseline_states =
-    (Mc.Checker.search ~target:"inversion" cfg).Mc.Checker.stats
-      .Mc.Checker.states
-  in
-  mc_parallel_measure
-    ~name:"mc-frontier: regular n=4 t=1, 2 silent byz, target=inversion"
-    ~target:"inversion" ~baseline_states cfg
-    4
-
 (* Campaign throughput: randomized trials per second through the full
    deploy/schedule/check pipeline, fanned over 2 domains. *)
 let chaos_row () =
@@ -495,17 +415,6 @@ let () =
         rps
         (if exhaustive then "" else "  (budget)"))
     mc_rows;
-  let par_rows = mc_parallel_rows () @ [ mc_soak_row () ] in
-  Printf.printf "\n%-56s %9s %9s %6s %12s %5s\n" "cooperative frontier"
-    "unique" "states" "redun" "unique/s" "util";
-  Printf.printf "%s\n" (String.make 104 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-56s %9d %9d %6.2f %12.0f %5.2f%s\n" r.row_name
-        r.row_unique r.row_states r.row_redundancy r.row_unique_per_sec
-        r.row_utilization
-        (if r.row_exhaustive then "" else "  (budget)"))
-    par_rows;
   let (chaos_name, chaos_trials, chaos_domains, chaos_ops, chaos_dt, tps) =
     chaos_row ()
   in
@@ -527,14 +436,10 @@ let () =
   in
   Printf.printf "\n%-52s %6d files, %d finding(s), %d module(s) in %.2fs\n"
     lint_name lint_files lint_findings lint_modules lint_dt;
-  (* Machine-readable companion: v6 keeps every v5 section; the
-     mc_parallel rows now describe the cooperative frontier search —
-     [states] is expanded work, [unique_states] the visited-set size,
-     [redundancy_ratio] their quotient (the portfolio paid ~K here), and
-     each row carries cpu_seconds/seconds utilization — plus the soak
-     row (first exhaustive n=4 Byzantine config at 4 domains).  Written
-     to a new file so the committed BENCH_1..5.json stay fixed points of
-     their eras. *)
+  (* Machine-readable companion in the stabreg/bench/v6 layout: raw
+     Bechamel rows, one-shot model-checker, chaos, shard and lint
+     sections.  The committed BENCH_1..4.json stay fixed points of their
+     eras. *)
   let json =
     Obs.Json.Obj
       [
@@ -570,25 +475,6 @@ let () =
                      ("replays_per_state", Obs.Json.Float rps);
                    ])
                mc_rows) );
-        ( "mc_parallel",
-          Obs.Json.List
-            (List.map
-               (fun r ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.Str r.row_name);
-                     ("domains", Obs.Json.Int r.row_domains);
-                     ("states", Obs.Json.Int r.row_states);
-                     ("unique_states", Obs.Json.Int r.row_unique);
-                     ("redundancy_ratio", Obs.Json.Float r.row_redundancy);
-                     ("seconds", Obs.Json.Float r.row_seconds);
-                     ("cpu_seconds", Obs.Json.Float r.row_cpu_seconds);
-                     ("utilization", Obs.Json.Float r.row_utilization);
-                     ( "unique_states_per_sec",
-                       Obs.Json.Float r.row_unique_per_sec );
-                     ("exhaustive", Obs.Json.Bool r.row_exhaustive);
-                   ])
-               par_rows) );
         ( "chaos",
           Obs.Json.Obj
             [

@@ -32,7 +32,7 @@ let artifact_path ~out ~family ~index ~trial_seed =
 
 (* Run one campaign; returns the violating trials' artifact paths. *)
 let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
-    ~race_fraction ~out ?recorder () =
+    ~out ?recorder () =
   let base = Campaign.default_config ~family in
   let cfg =
     {
@@ -54,14 +54,8 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
           cfg.Campaign.initial))
     trials seed domains;
   if race_check then
-    if race_fraction >= 1.0 then
-      print_endline
-        "race-check: every trial runs twice with inverted scheduling order"
-    else
-      Printf.printf
-        "race-check: a deterministic %.0f%% of trials run twice with \
-         inverted scheduling order\n"
-        (race_fraction *. 100.);
+    print_endline
+      "race-check: every trial runs twice with inverted scheduling order";
   let on_scenario ~trial scn =
     if trial = 0 then begin
       Common.attach_trace_sink (Harness.Scenario.hub scn);
@@ -70,7 +64,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
   in
   let result =
     Campaign.run ~on_scenario ~log:print_endline ?recorder ~race_check
-      ~race_fraction ~domains cfg ~seed ~trials
+      ~domains cfg ~seed ~trials
   in
   print_newline ();
   let artifacts =
@@ -103,7 +97,6 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
          ("trials", Obs.Json.Int trials);
          ("domains", Obs.Json.Int domains);
          ("race_check", Obs.Json.Bool race_check);
-         ("race_fraction", Obs.Json.Float race_fraction);
          ("violations", Obs.Json.Int (List.length violations));
          ( "verdicts",
            Obs.Json.List
@@ -116,7 +109,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
   violations
 
 (* Replay a repro artifact; Ok when the replay reproduces the recorded
-   verdict kind. *)
+   verdict exactly. *)
 let replay path =
   match Obs.Json.parse (read_file path) with
   | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
@@ -145,8 +138,9 @@ let replay path =
              ( "replayed",
                Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
            ]);
-      if Campaign.same_verdict repro.Campaign.verdict outcome.Campaign.verdict
-      then begin
+      (* The whole verdict — kind, count and detail — must reproduce, so
+         the claim covers every field the artifact records. *)
+      if repro.Campaign.verdict = outcome.Campaign.verdict then begin
         Printf.printf "replay reproduced the recorded verdict\n";
         Ok ()
       end

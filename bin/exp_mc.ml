@@ -79,10 +79,10 @@ let emit_cex ~out cfg (result : Checker.run) =
 (* Run one search (plus the optional no-reduction cross-check); returns
    [Ok ()] or a CI-facing error. *)
 let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
-    ~domains ~sequential_check ~race_check ~expect ~out ?recorder () =
+    ~expect ~out ?recorder () =
   Printf.printf
     "mc: family=%s n=%d t=%d byz=%d writes=%d reads=%d menu=%d oracle=%s \
-     reduction=%s max_states=%d max_depth=%d domains=%d%s%s\n\n"
+     reduction=%s max_states=%d max_depth=%d%s%s\n\n"
     (Config.family_to_string cfg.Config.family)
     cfg.Config.n cfg.Config.f
     (List.length cfg.Config.byz)
@@ -90,7 +90,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     (List.length cfg.Config.menu)
     (Config.oracle_to_string cfg.Config.oracle)
     (Checker.reduction_to_string reduction)
-    budgets.Checker.max_states budgets.Checker.max_depth domains
+    budgets.Checker.max_states budgets.Checker.max_depth
     (match seed with
     | None -> ""
     | Some s -> Printf.sprintf " seed=%d" s)
@@ -98,31 +98,15 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     | None -> ""
     | Some t -> Printf.sprintf " target=%s" t);
   let t0 = Stdlib.Sys.time () in
-  if race_check then
-    print_endline
-      "race-check: the frontier search runs twice with inverted steal order";
   let result =
     Checker.check ~budgets ~reduction ~use_visited ?seed ?target ?recorder
-      ~race_check ~domains ~log:print_endline cfg
+      ~log:print_endline cfg
   in
   let dt = Stdlib.Sys.time () -. t0 in
   describe_outcome "search" result.outcome;
   Printf.printf "  %.2fs (%.0f states/s)\n" dt
     (float_of_int result.outcome.stats.states /. Float.max dt 1e-9);
   let artifact = emit_cex ~out cfg result in
-  (* --sequential-check: re-run the plain sequential search and demand the
-     cooperative frontier search reported the same verdict and the same
-     trace.  Any reported counterexample is re-derived through the
-     canonical sequential order, so any disagreement is a bug. *)
-  let sequential =
-    if not sequential_check then None
-    else begin
-      Printf.printf "\nsequential-check: re-searching with domains=1\n";
-      let o = Checker.search ~budgets ~reduction ~use_visited ?seed ?target cfg in
-      describe_outcome "sequential" o;
-      Some o
-    end
-  in
   let cross =
     if not cross_check then None
     else begin
@@ -153,9 +137,6 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
           ("exhaustive", Obs.Json.Bool result.outcome.exhaustive);
           ("stats", stats_to_json result.outcome.stats);
           ("seconds", Obs.Json.Float dt);
-          ("domains", Obs.Json.Int domains);
-          ("sequential_check", Obs.Json.Bool sequential_check);
-          ("race_check", Obs.Json.Bool race_check);
         ]
        @ (match artifact with
          | Some (path, _) -> [ ("artifact", Obs.Json.Str path) ]
@@ -192,30 +173,6 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
     | Some `Violation, Checker.Clean ->
       [ "expected a violation, search came back clean" ]
   in
-  let sequential_errors =
-    match sequential with
-    | None -> []
-    | Some o ->
-      let traces_equal =
-        match (result.outcome.trace, o.Checker.trace) with
-        | None, None -> true
-        | Some a, Some b ->
-          List.length a = List.length b && List.for_all2 Sys.move_equal a b
-        | _ -> false
-      in
-      if Checker.verdict_equal result.outcome.verdict o.Checker.verdict
-         && traces_equal
-      then []
-      else
-        [
-          Format.asprintf
-            "sequential-check disagrees: parallel search found %a, \
-             sequential found %a%s"
-            Checker.pp_verdict result.outcome.verdict Checker.pp_verdict
-            o.Checker.verdict
-            (if traces_equal then "" else " (traces differ)");
-        ]
-  in
   let cross_errors =
     match cross with
     | None -> []
@@ -230,7 +187,7 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
             o.verdict;
         ]
   in
-  match verdict_errors @ sequential_errors @ cross_errors with
+  match verdict_errors @ cross_errors with
   | [] -> Ok ()
   | errs -> Error (String.concat "; " errs)
 

@@ -486,16 +486,6 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "race-check" ] ~doc)
   in
-  let race_fraction_arg =
-    let doc =
-      "With $(b,--race-check), re-run only this fraction of the trials in \
-       the inverted-order second pass (selected deterministically from \
-       the campaign seed), so race checking a soak-sized campaign does \
-       not double its wall-clock.  1.0 (the default) re-checks every \
-       trial."
-    in
-    Arg.(value & opt float 1.0 & info [ "race-fraction" ] ~docv:"F" ~doc)
-  in
   let profile_arg =
     let doc =
       "Write a stabreg/mc-profile/v1 flight-recorder timeline of the \
@@ -505,7 +495,7 @@ let chaos_cmd =
       value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
   in
   let chaos family trials byz strategy medium out replay expect domains
-      race_check race_fraction seed json trace profile =
+      race_check seed json trace profile =
     Exp_drivers.Common.json_dir := json;
     Exp_drivers.Common.trace_out := trace;
     let recorder =
@@ -526,7 +516,7 @@ let chaos_cmd =
       Exp_drivers.Common.with_report ~exp ~seed (fun () ->
           let violations =
             Exp_drivers.Exp_chaos.run ~family ~medium ~byz ~strategy ~seed
-              ~trials ~domains ~race_check ~race_fraction ~out ?recorder ()
+              ~trials ~domains ~race_check ~out ?recorder ()
           in
           match (expect, violations) with
           | Some `Clean, _ :: _ ->
@@ -556,7 +546,7 @@ let chaos_cmd =
       ret
         (const chaos $ family_arg $ trials_arg $ byz_arg $ strategy_arg
        $ medium_arg $ out_arg $ replay_arg $ expect_arg $ domains_arg
-       $ race_check_arg $ race_fraction_arg $ seed_arg $ json_arg
+       $ race_check_arg $ seed_arg $ json_arg
        $ trace_out_arg $ profile_arg))
 
 let mc_cmd =
@@ -796,36 +786,6 @@ let mc_cmd =
     Arg.(
       value & opt (some string) None & info [ "target" ] ~docv:"KIND" ~doc)
   in
-  let domains_arg =
-    let doc =
-      "Search cooperatively with $(docv) OS-level domains sharing one \
-       work-stealing frontier and one sharded visited set — one state \
-       space explored once, not K overlapping copies.  The reported \
-       verdict, counterexample and artifact digest are bit-identical to \
-       the sequential search for every value (traces are re-derived by \
-       the canonical sequential order whenever one is reported); 1 runs \
-       the plain sequential searcher."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
-  in
-  let sequential_check_arg =
-    let doc =
-      "After the (parallel) search, re-search sequentially and fail \
-       unless both report the same verdict and the same trace \
-       (determinism pin for the cooperative frontier search)."
-    in
-    Arg.(value & flag & info [ "sequential-check" ] ~doc)
-  in
-  let race_check_arg =
-    let doc =
-      "Run the frontier search twice, the second pass with the \
-       steal-victim order inverted, and fail unless both project to the \
-       same verdict, trace and exhaustiveness (deterministic race \
-       harness; at $(b,--domains) 1 the sequential search is re-run and \
-       must be structurally identical)."
-    in
-    Arg.(value & flag & info [ "race-check" ] ~doc)
-  in
   let out_arg =
     let doc = "Directory for counterexample artifacts." in
     Arg.(value & opt string "results/mc" & info [ "out" ] ~docv:"DIR" ~doc)
@@ -853,7 +813,7 @@ let mc_cmd =
     let doc =
       "Write a stabreg/mc-profile/v1 flight-recorder timeline of the \
        search (periodic samples on the state counter: states, pruning \
-       hits, visited-set occupancy, per-domain utilization) to $(docv)."
+       hits, visited-set occupancy) to $(docv)."
     in
     Arg.(
       value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
@@ -864,8 +824,8 @@ let mc_cmd =
   in
   let mc family servers t byz strategy writes reads read_budget corrupt
       oracle depth max_states no_reduction no_visited order_seed target
-      cross_check domains sequential_check race_check expect out replay guide
-      seed json trace profile profile_every =
+      cross_check expect out replay guide seed json trace profile
+      profile_every =
     Exp_drivers.Common.json_dir := json;
     Exp_drivers.Common.trace_out := trace;
     let recorder =
@@ -916,8 +876,7 @@ let mc_cmd =
             match
               Exp_drivers.Exp_mc.run ~cfg ~budgets ~reduction
                 ~use_visited:(not no_visited) ~seed:order_seed ~target
-                ~cross_check ~domains ~sequential_check ~race_check ~expect
-                ~out ?recorder ()
+                ~cross_check ~expect ~out ?recorder ()
             with
             | Ok () -> ()
             | Error e -> status := `Error (false, e))));
@@ -941,9 +900,8 @@ let mc_cmd =
         (const mc $ family_arg $ servers_arg $ t_arg $ byz_arg $ strategy_arg
        $ writes_arg $ reads_arg $ read_budget_arg $ corrupt_arg $ oracle_arg
        $ depth_arg $ max_states_arg $ no_reduction_arg $ no_visited_arg
-       $ order_seed_arg $ target_arg $ cross_check_arg $ domains_arg
-       $ sequential_check_arg $ race_check_arg $ expect_arg $ out_arg
-       $ replay_arg $ guide_arg $ seed_arg $ json_arg $ trace_out_arg
+       $ order_seed_arg $ target_arg $ cross_check_arg $ expect_arg
+       $ out_arg $ replay_arg $ guide_arg $ seed_arg $ json_arg $ trace_out_arg
        $ profile_arg $ profile_every_arg))
 
 let recovery_cmd =

@@ -139,6 +139,8 @@ val repro_schema : string
 val repro_to_json : repro -> Obs.Json.t
 
 val repro_of_json : Obs.Json.t -> (repro, string) result
+(** Parse a [stabreg/chaos-repro/v1] artifact.  A violation verdict with
+    [count < 1] is rejected with an [Error]. *)
 
 val replay : ?on_scenario:(Harness.Scenario.t -> unit) -> repro -> outcome
 (** Re-execute a repro artifact deterministically. *)
@@ -162,7 +164,6 @@ val run :
   ?shrink_violations:bool ->
   ?recorder:Obs.Profile.t ->
   ?race_check:bool ->
-  ?race_fraction:float ->
   ?domains:int ->
   config ->
   seed:int ->
@@ -198,9 +199,5 @@ val run :
     even at [domains:1]): every trial runs twice — the second pass with
     inverted scheduling order and without re-attaching [on_scenario] —
     and any difference in a trial's outcome, repro or buffered log
-    bytes raises [Parallel.Pool.Nondeterministic].  [race_fraction]
-    (default [1.0]) bounds the second pass to a deterministic
-    seed-derived subset of the trials — see
-    {!Parallel.Pool.map_checked}'s [check_fraction]; at [1.0] every
-    trial is re-checked (the historical behavior).  Raises
-    [Invalid_argument] if [race_fraction] is outside [0,1]. *)
+    bytes raises [Parallel.Pool.Nondeterministic].  Raises
+    [Invalid_argument] if [domains < 1]. *)

@@ -358,6 +358,22 @@ let of_json j =
     let* seed = int_field ctx "seed" j in
     let* config = field ctx "config" j in
     let* config = config_of_json config in
+    (* The schedule is derived from the config, so a recorded one that
+       parses but differs (an event dropped, a slot edited) is a
+       tampered artifact, not a different run. *)
+    let* recorded = field ctx "schedule" j in
+    let* _ =
+      Result.map_error (fun e -> "recovery.schedule: " ^ e)
+        (Schedule.of_json recorded)
+    in
+    let* () =
+      if Obs.Json.equal recorded (Schedule.to_json (schedule config)) then
+        Ok ()
+      else
+        Error
+          "recovery.schedule: differs from the crash schedule the config \
+           denotes"
+    in
     let* bursts = list_field ctx "bursts" burst_of_json j in
     let* write_ops = field ctx "write_ops" j in
     let* write_ops = tally_of_json (ctx ^ ".write_ops") write_ops in

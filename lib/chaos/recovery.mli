@@ -79,6 +79,9 @@ val schema : string
 val to_json : report -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (report, string) result
+(** Parse a [stabreg/recovery/v1] artifact.  The recorded [schedule] must
+    parse and equal the crash schedule its config denotes; otherwise the
+    artifact is rejected with an [Error]. *)
 
 val replay : ?on_scenario:(Harness.Scenario.t -> unit) -> report -> report
 (** Re-execute a report's config and seed from scratch. *)

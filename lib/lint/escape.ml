@@ -136,7 +136,7 @@ let builtin_boundary path =
   | [ "Domain"; "spawn" ] -> true
   | _ -> (
     match List.rev path with
-    | ("map" | "map_checked" | "scatter") :: "Pool" :: _ -> true
+    | ("map" | "map_checked") :: "Pool" :: _ -> true
     | _ -> false)
 
 let is_boundary ~env ~self path =
@@ -248,7 +248,7 @@ let build_env files =
       (List.concat_map (fun (_, str) -> file_mutable_fields str) files)
   in
   (* Fixpoint: a function forwarding into a discovered boundary is
-     itself a boundary (e.g. [Checker.check] -> [search_parallel] ->
+     itself a boundary (e.g. [Exp_chaos.run] -> [Campaign.run] ->
      [Pool.map]).  The relation only grows and is bounded by the number
      of bindings, so this terminates quickly. *)
   let rec grow known =

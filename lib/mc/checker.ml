@@ -529,473 +529,6 @@ let search ?(budgets = default_budgets) ?(reduction = Sleep_sets)
       }
 
 (* ------------------------------------------------------------------ *)
-(* Cooperative frontier search                                        *)
-
-(* Outcomes are plain data (constructors, ints, bools, move lists), so
-   structural equality is a faithful bit-identity check for the race
-   harness. *)
-let outcome_equal (a : outcome) (b : outcome) = a = b
-
-(* Schedules compared lexicographically in the deterministic move order,
-   shorter prefix first — the merge order for violations collected by
-   concurrent workers. *)
-let rec compare_trace a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: xs, y :: ys -> (
-    match Sys.compare_move x y with 0 -> compare_trace xs ys | c -> c)
-
-(* A replayable unit of work: a DFS node identified by its concrete move
-   prefix (reverse order), the sleep set it arrived with, and its depth.
-   Rebuilding the live [Sys.t] costs one prefix replay — the price of
-   not having snapshots — so thieves steal the *oldest* (shallowest)
-   task: the biggest outstanding subtree, which amortizes the replay. *)
-type task = {
-  t_prefix_rev : Sys.move list;
-  t_sleep : Sys.move list;
-  t_depth : int;
-}
-
-(* How many independently-locked shards the cooperative visited set
-   uses: enough that workers rarely collide on a shard lock, few enough
-   that the fixed cost stays trivial. *)
-let frontier_shards = 64
-
-(* Everything a frontier worker shares — each piece either immutable or
-   internally synchronized (sharded table, work-stealing deques, atomic
-   counters), so workers never hold a lock and never mutate a captured
-   structure themselves. *)
-type fctx = {
-  fr_cfg : Config.t;
-  fr_budgets : budgets;
-  fr_reduction : reduction;
-  fr_use_visited : bool;
-  fr_keep : verdict -> bool;
-  fr_table : Sys.move list Parallel.Pool.Fp_map.t;
-  fr_frontier : task Parallel.Pool.Frontier.t;
-  fr_counter : int Atomic.t;
-  fr_truncated : bool Atomic.t;
-  fr_recorder : Obs.Profile.t option;
-}
-
-(* What a worker sends back, by value, through the join. *)
-type worker_report = {
-  wr_stats : stats;
-  wr_violations : (Sys.move list * verdict) list;
-  wr_samples : Obs.Json.t list;
-}
-
-let frontier_worker fc w =
-  let stats = fresh_stats () in
-  let violations = ref [] in
-  (* Branched off the parent recorder *inside* the worker: recorders are
-     single-domain mutable state, so each domain owns its branch and
-     returns the samples by value. *)
-  let branch = Option.map Obs.Profile.branch fc.fr_recorder in
-  let sample ?force ~depth () =
-    match branch with
-    | None -> ()
-    | Some r ->
-      Obs.Profile.sample ?force r ~tick:stats.states (fun () ->
-          [
-            ("worker", Obs.Json.Int w);
-            ("states", Obs.Json.Int stats.states);
-            ("transitions", Obs.Json.Int stats.transitions);
-            ("depth", Obs.Json.Int depth);
-            ("max_depth", Obs.Json.Int stats.max_depth_seen);
-            ("revisits", Obs.Json.Int stats.revisits);
-            ("sleep_skips", Obs.Json.Int stats.sleep_skips);
-            ("sym_skips", Obs.Json.Int stats.sym_skips);
-            ("replays", Obs.Json.Int stats.replays);
-            ("terminals", Obs.Json.Int stats.terminals);
-          ])
-  in
-  (* Expand the node the live [sys] currently sits on, descending into
-     its first child in place and pushing the later siblings as
-     stealable tasks.  Mirrors the sequential [explore] step for step;
-     the one genuinely concurrent act — look up the residual sleep set
-     and write back its replacement — happens atomically under the
-     state's shard lock, which keeps the sleep-set/state-matching
-     combination exactly as sound as the single-domain version. *)
-  let rec descend sys prefix_rev depth sleep =
-    if not (Parallel.Pool.Frontier.stopped fc.fr_frontier) then begin
-      let n = Atomic.fetch_and_add fc.fr_counter 1 in
-      if n >= fc.fr_budgets.max_states then begin
-        stats.truncated <- true;
-        Atomic.set fc.fr_truncated true;
-        Parallel.Pool.Frontier.stop fc.fr_frontier
-      end
-      else begin
-        stats.states <- stats.states + 1;
-        if depth > stats.max_depth_seen then stats.max_depth_seen <- depth;
-        sample ~depth ();
-        let moves = Sys.enabled sys in
-        if moves = [] then begin
-          stats.terminals <- stats.terminals + 1;
-          match terminal_verdict sys with
-          | Clean -> ()
-          | Violation _ as v ->
-            if fc.fr_keep v then begin
-              violations := (List.rev prefix_rev, v) :: !violations;
-              (* Early exit: the reported counterexample is re-derived
-                 sequentially anyway, so there is nothing deterministic
-                 left for the other workers to add. *)
-              Parallel.Pool.Frontier.stop fc.fr_frontier
-            end
-            else stats.off_target <- stats.off_target + 1
-        end
-        else if depth >= fc.fr_budgets.max_depth then begin
-          stats.truncated <- true;
-          Atomic.set fc.fr_truncated true
-        end
-        else begin
-          let need_rep = fc.fr_reduction = Sleep_sets in
-          let fp, ren, rep =
-            if fc.fr_use_visited || need_rep then Sys.fingerprint_raw_ex sys
-            else ("", Fun.id, Fun.id)
-          in
-          let sleep_canon =
-            sorted_moves (List.map (Sys.canonical_move ren) sleep)
-          in
-          let plan =
-            if not fc.fr_use_visited then Expand_all
-            else
-              Parallel.Pool.Fp_map.update fc.fr_table fp (fun cur ->
-                  match cur with
-                  | None -> (Some sleep_canon, Expand_all)
-                  | Some residual ->
-                    let need =
-                      List.filter
-                        (fun m ->
-                          not (List.exists (Sys.move_equal m) sleep_canon))
-                        residual
-                    in
-                    if need = [] then (Some residual, Covered)
-                    else
-                      ( Some
-                          (List.filter
-                             (fun m ->
-                               List.exists (Sys.move_equal m) sleep_canon)
-                             residual),
-                        Expand_only need ))
-          in
-          (match plan with
-          | Expand_all -> ()
-          | Covered | Expand_only _ -> stats.revisits <- stats.revisits + 1);
-          match plan with
-          | Covered -> ()
-          | (Expand_all | Expand_only _) as plan ->
-            (* Symmetric-move pruning, as in the sequential explorer. *)
-            let moves =
-              if not need_rep then moves
-              else begin
-                let seen = ref [] in
-                List.filter
-                  (fun mv ->
-                    let r = Sys.canonical_move rep mv in
-                    if List.exists (Sys.move_equal r) !seen then begin
-                      stats.sym_skips <- stats.sym_skips + 1;
-                      false
-                    end
-                    else begin
-                      seen := r :: !seen;
-                      true
-                    end)
-                  moves
-              end
-            in
-            let moves, covered =
-              match plan with
-              | Expand_all | Covered -> (moves, [])
-              | Expand_only need ->
-                List.partition
-                  (fun mv ->
-                    List.exists
-                      (Sys.move_equal (Sys.canonical_move ren mv))
-                      need)
-                  moves
-            in
-            stats.sleep_skips <- stats.sleep_skips + List.length covered;
-            let base_sleep = covered @ sleep in
-            let to_explore =
-              List.filter
-                (fun mv -> not (List.exists (Sys.move_equal mv) base_sleep))
-                moves
-            in
-            stats.sleep_skips <-
-              stats.sleep_skips
-              + (List.length moves - List.length to_explore);
-            (* Child [i]'s sleep set is known at push time: the covered
-               and inherited sleeps plus the siblings ordered before it,
-               filtered by independence with the child's own move —
-               exactly what the sequential explorer accumulates between
-               siblings. *)
-            let rec plan_children before = function
-              | [] -> []
-              | mv :: rest ->
-                let s =
-                  match fc.fr_reduction with
-                  | Sleep_sets ->
-                    List.filter (Sys.independent mv) (before @ base_sleep)
-                  | No_reduction -> []
-                in
-                (mv, s) :: plan_children (mv :: before) rest
-            in
-            match plan_children [] to_explore with
-            | [] -> ()
-            | (m0, s0) :: laters ->
-              stats.transitions <-
-                stats.transitions + List.length to_explore;
-              (* Later siblings become stealable tasks.  Pushed in
-                 reverse so the owner's LIFO pop recovers left-to-right
-                 sibling order, while thieves take the oldest end. *)
-              List.iter
-                (fun (mv, s) ->
-                  Parallel.Pool.Frontier.push fc.fr_frontier ~worker:w
-                    {
-                      t_prefix_rev = mv :: prefix_rev;
-                      t_sleep = s;
-                      t_depth = depth + 1;
-                    })
-                (List.rev laters);
-              (* Descend into the first child on the live state — no
-                 replay, same as the sequential explorer's last-child
-                 reuse, just at the other end of the sibling list. *)
-              ignore (Sys.apply sys m0);
-              descend sys (m0 :: prefix_rev) (depth + 1) s0
-        end
-      end
-    end
-  in
-  let process t =
-    if t.t_prefix_rev <> [] then stats.replays <- stats.replays + 1;
-    let sys = Sys.create fc.fr_cfg in
-    List.iter (fun mv -> ignore (Sys.apply sys mv)) (List.rev t.t_prefix_rev);
-    descend sys t.t_prefix_rev t.t_depth t.t_sleep
-  in
-  let rec loop () =
-    match Parallel.Pool.Frontier.take fc.fr_frontier ~worker:w with
-    | `Done -> ()
-    | `Retry ->
-      Domain.cpu_relax ();
-      loop ()
-    | `Task t ->
-      process t;
-      Parallel.Pool.Frontier.finish fc.fr_frontier ~worker:w;
-      loop ()
-  in
-  loop ();
-  sample ~force:true ~depth:stats.max_depth_seen ();
-  {
-    wr_stats = stats;
-    wr_violations = List.rev !violations;
-    wr_samples =
-      (match branch with
-      | None -> []
-      | Some r -> Obs.Profile.sample_jsons r);
-  }
-
-type frontier_pass = {
-  fp_agg : stats;
-  fp_candidate : (Sys.move list * verdict) option;
-      (** lexicographically-least violation collected before the stop *)
-  fp_reports : worker_report list;
-  fp_steals : int array;
-}
-
-(* One cooperative pass over the state space: seed the frontier with the
-   root, scatter the workers, merge their reports. *)
-let frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
-    ~reverse_steal ~domains cfg =
-  let fc =
-    {
-      fr_cfg = cfg;
-      fr_budgets = budgets;
-      fr_reduction = reduction;
-      fr_use_visited = use_visited;
-      fr_keep = keep;
-      fr_table = Parallel.Pool.Fp_map.create ~shards:frontier_shards ();
-      fr_frontier =
-        Parallel.Pool.Frontier.create ~reverse_steal ~workers:domains ();
-      fr_counter = Atomic.make 0;
-      fr_truncated = Atomic.make false;
-      fr_recorder = recorder;
-    }
-  in
-  Parallel.Pool.Frontier.push fc.fr_frontier ~worker:0
-    { t_prefix_rev = []; t_sleep = []; t_depth = 0 };
-  let reports =
-    Parallel.Pool.scatter ~domains (fun w -> frontier_worker fc w)
-  in
-  let agg = fresh_stats () in
-  List.iter
-    (fun r ->
-      let s = r.wr_stats in
-      agg.states <- agg.states + s.states;
-      agg.transitions <- agg.transitions + s.transitions;
-      agg.terminals <- agg.terminals + s.terminals;
-      agg.revisits <- agg.revisits + s.revisits;
-      agg.sleep_skips <- agg.sleep_skips + s.sleep_skips;
-      agg.sym_skips <- agg.sym_skips + s.sym_skips;
-      agg.replays <- agg.replays + s.replays;
-      agg.off_target <- agg.off_target + s.off_target;
-      if s.max_depth_seen > agg.max_depth_seen then
-        agg.max_depth_seen <- s.max_depth_seen)
-    reports;
-  (* Shared-table statistics are global facts, not per-worker sums:
-     [peak_visited] is the number of *unique* states resident in the
-     sharded set (the portfolio used to report the sum of K overlapping
-     tables here). *)
-  agg.peak_visited <- Parallel.Pool.Fp_map.length fc.fr_table;
-  agg.fp_collisions <- Parallel.Pool.Fp_map.collisions fc.fr_table;
-  agg.truncated <- Atomic.get fc.fr_truncated;
-  let candidate =
-    List.concat_map (fun r -> r.wr_violations) reports
-    |> List.fold_left
-         (fun best v ->
-           match best with
-           | None -> Some v
-           | Some b ->
-             if compare_trace (fst v) (fst b) < 0 then Some v else Some b)
-         None
-  in
-  {
-    fp_agg = agg;
-    fp_candidate = candidate;
-    fp_reports = reports;
-    fp_steals = Parallel.Pool.Frontier.steals fc.fr_frontier;
-  }
-
-(* The schedule-independent projection of an outcome: what the race
-   harness compares between the normal and inverted-stealing passes. *)
-let projection_equal (a : outcome) (b : outcome) =
-  verdict_equal a.verdict b.verdict
-  && Bool.equal a.exhaustive b.exhaustive
-  && (match (a.trace, b.trace) with
-     | None, None -> true
-     | Some x, Some y -> compare_trace x y = 0
-     | Some _, None | None, Some _ -> false)
-
-let search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
-    ?(race_check = false) ?(domains = 1) cfg =
-  if domains < 1 then
-    invalid_arg "Mc.Checker.search_parallel: domains must be >= 1";
-  (match Config.validate cfg with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Mc.Checker.search_parallel: " ^ e));
-  if domains = 1 then begin
-    (* Exactly the sequential searcher — byte-for-byte, including stats.
-       Under [race_check] it runs twice (the second time without the
-       recorder) and any structural difference — which can only come
-       from hidden global state — trips the harness. *)
-    let first =
-      search ?budgets ?reduction ?use_visited ?seed ?target ?recorder cfg
-    in
-    if race_check then begin
-      let second = search ?budgets ?reduction ?use_visited ?seed ?target cfg in
-      if not (outcome_equal first second) then
-        raise (Parallel.Pool.Nondeterministic 0)
-    end;
-    first
-  end
-  else begin
-    let budgets = Option.value budgets ~default:default_budgets in
-    let reduction = Option.value reduction ~default:Sleep_sets in
-    let use_visited = Option.value use_visited ~default:true in
-    let keep =
-      match target with
-      | None -> fun _ -> true
-      | Some kind -> fun v -> String.equal (verdict_kind v) kind
-    in
-    let run ~reverse_steal ~recorder =
-      frontier_pass ~budgets ~reduction ~use_visited ~keep ~recorder
-        ~reverse_steal ~domains cfg
-    in
-    (* The cooperative pass covers the reduced space once, shared.  Its
-       verdict classification is deterministic; the concrete schedule
-       that first reaches a fingerprint-merged state is not, so whenever
-       a trace (or a truncation that could hide one) is involved, the
-       *reported* outcome is re-derived by the canonical sequential
-       search — bit-identical to [search] by construction, budget-bounded
-       by the same limits, and in the common case (a violating config)
-       reached after the frontier has already stopped early. *)
-    let report_of pass =
-      match (pass.fp_candidate, pass.fp_agg.truncated) with
-      | None, false ->
-        (* Exhaustive and clean: every state of the reduced space was
-           expanded with no budget cut, which is the same proof the
-           sequential searcher produces — no re-derivation needed. *)
-        ( {
-            verdict = Clean;
-            exhaustive = true;
-            stats = pass.fp_agg;
-            trace = None;
-          },
-          false )
-      | _ ->
-        (search ~budgets ~reduction ~use_visited ?seed ?target cfg, true)
-    in
-    let pass1 = run ~reverse_steal:false ~recorder in
-    let outcome1, rederived = report_of pass1 in
-    if race_check then begin
-      let pass2 = run ~reverse_steal:true ~recorder:None in
-      let outcome2, _ = report_of pass2 in
-      if not (projection_equal outcome1 outcome2) then
-        raise (Parallel.Pool.Nondeterministic 0)
-    end;
-    (match recorder with
-    | None -> ()
-    | Some r ->
-      let agg = pass1.fp_agg in
-      let workers_json =
-        List.mapi
-          (fun w (rep : worker_report) ->
-            let share =
-              if agg.states = 0 then 0.
-              else
-                float_of_int rep.wr_stats.states /. float_of_int agg.states
-            in
-            Obs.Json.Obj
-              [
-                ("worker", Obs.Json.Int w);
-                ("states", Obs.Json.Int rep.wr_stats.states);
-                ("transitions", Obs.Json.Int rep.wr_stats.transitions);
-                ("replays", Obs.Json.Int rep.wr_stats.replays);
-                ("steals", Obs.Json.Int pass1.fp_steals.(w));
-                ("utilization", Obs.Json.Float share);
-                ("samples", Obs.Json.List rep.wr_samples);
-              ])
-          pass1.fp_reports
-      in
-      Obs.Profile.add_section r "domains"
-        (Obs.Json.Obj
-           [
-             ("mode", Obs.Json.Str "frontier");
-             ("shards", Obs.Json.Int frontier_shards);
-             ("unique_states", Obs.Json.Int agg.peak_visited);
-             ("rederived", Obs.Json.Bool rederived);
-             ("workers", Obs.Json.List workers_json);
-           ]);
-      Obs.Profile.sample ~force:true r ~tick:agg.states (fun () ->
-          [
-            ("states", Obs.Json.Int agg.states);
-            ("transitions", Obs.Json.Int agg.transitions);
-            ("depth", Obs.Json.Int agg.max_depth_seen);
-            ("max_depth", Obs.Json.Int agg.max_depth_seen);
-            ("visited", Obs.Json.Int agg.peak_visited);
-            ("revisits", Obs.Json.Int agg.revisits);
-            ("sleep_skips", Obs.Json.Int agg.sleep_skips);
-            ("sym_skips", Obs.Json.Int agg.sym_skips);
-            ("fp_collisions", Obs.Json.Int agg.fp_collisions);
-            ("replays", Obs.Json.Int agg.replays);
-            ("terminals", Obs.Json.Int agg.terminals);
-          ]));
-    outcome1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Deterministic completion, shrinking                                *)
 
 let completion_fuel = 200_000
@@ -1280,11 +813,10 @@ let package ~shrink_violations ~log cfg (outcome : outcome) =
     in
     { outcome = { outcome with verdict }; cex = Some cex; shrink_runs }
 
-let check ?budgets ?reduction ?use_visited ?seed ?target ?recorder ?race_check
-    ?domains ?(shrink_violations = true) ?(log = ignore) cfg =
+let check ?budgets ?reduction ?use_visited ?seed ?target ?recorder
+    ?(shrink_violations = true) ?(log = ignore) cfg =
   let outcome =
-    search_parallel ?budgets ?reduction ?use_visited ?seed ?target ?recorder
-      ?race_check ?domains cfg
+    search ?budgets ?reduction ?use_visited ?seed ?target ?recorder cfg
   in
   package ~shrink_violations ~log cfg outcome
 

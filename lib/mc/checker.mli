@@ -108,62 +108,6 @@ val search :
     and a final forced sample closes the timeline.  Recording never
     perturbs the search (no verdict, trace or stat changes). *)
 
-val search_parallel :
-  ?budgets:budgets ->
-  ?reduction:reduction ->
-  ?use_visited:bool ->
-  ?seed:int ->
-  ?target:string ->
-  ?recorder:Obs.Profile.t ->
-  ?race_check:bool ->
-  ?domains:int ->
-  Config.t ->
-  outcome
-(** {!search} as a cooperative shared-frontier search: [domains] workers
-    share one work-stealing frontier of replayable DFS prefixes (pop
-    newest locally for depth-first locality, steal oldest — the
-    shallowest, biggest subtree — from a sibling) over one visited set
-    sharded by the 64-bit fingerprint key
-    ({!Parallel.Pool.Fp_map}), so the domains explore one state space
-    together instead of [K] overlapping copies.
-
-    The reported outcome is bit-identical to {!search} for every domain
-    count.  With [domains:1] it *is* {!search}, byte for byte.  With
-    more: a clean pass that exhausted the reduced space with no budget
-    cut is reported directly (the same proof the sequential searcher
-    produces — sleep-set and symmetry reduction are exploration-order
-    agnostic); any pass that found a violation, or was truncated by a
-    budget, stops early (violations collected across workers are merged
-    preferring the lexicographically-least schedule) and the reported
-    verdict, trace — and hence shrunk counterexample and artifact
-    digest — are re-derived by the canonical sequential {!search} under
-    the same budgets, because the concrete schedule that first reaches a
-    fingerprint-merged state is a property of arrival order, not of the
-    space.  [seed] therefore only affects that sequential re-derivation;
-    the frontier itself always expands in the canonical move order.
-
-    [stats] of a cooperative pass are summed across workers, except the
-    shared-table facts: [peak_visited] is the number of *unique* states
-    resident in the sharded visited set and [fp_collisions] its
-    full-digest second-layer hits.  A re-derived outcome carries the
-    sequential search's stats verbatim.
-
-    With [recorder] and [domains > 1], each worker branches the recorder
-    inside its own domain and returns samples by value; after the join
-    the caller's recorder gains a ["domains"] section — mode
-    ["frontier"], shard count, unique states, whether the outcome was
-    re-derived, and per-worker summaries (states, transitions, replays,
-    steals, utilization = share of aggregate states, samples) — plus one
-    forced aggregate sample.
-
-    [race_check] runs the cooperative pass twice, the second time with
-    the steal-victim scan order inverted and no recorder, and raises
-    [Parallel.Pool.Nondeterministic] unless both passes project to the
-    same reported (verdict, trace, exhaustive).  At [domains:1] it
-    re-runs the sequential search and insists on structural identity.
-    Raises [Invalid_argument] if [domains < 1] or the config is
-    invalid. *)
-
 val shrink :
   ?log:(string -> unit) ->
   Config.t ->
@@ -219,16 +163,13 @@ val check :
   ?seed:int ->
   ?target:string ->
   ?recorder:Obs.Profile.t ->
-  ?race_check:bool ->
-  ?domains:int ->
   ?shrink_violations:bool ->
   ?log:(string -> unit) ->
   Config.t ->
   run
-(** {!search_parallel} (sequential when [domains] is omitted or [1]); on
-    a violation, {!shrink} it (unless disabled) and package the result as
-    a replayable {!cex}.  The returned outcome's verdict is the (possibly
-    shrunk) final verdict. *)
+(** {!search}; on a violation, {!shrink} it (unless disabled) and
+    package the result as a replayable {!cex}.  The returned outcome's
+    verdict is the (possibly shrunk) final verdict. *)
 
 val guided :
   ?shrink_violations:bool ->

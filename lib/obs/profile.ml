@@ -22,17 +22,6 @@ let create ?(every = 1000) ?(clock = fun () -> 0.) ~kind () =
     sections_rev = [];
   }
 
-let branch t =
-  {
-    kind = t.kind;
-    every = t.every;
-    clock = t.clock;
-    t0 = t.clock ();
-    last_tick = min_int;
-    samples_rev = [];
-    sections_rev = [];
-  }
-
 let due t ~tick = t.last_tick = min_int || tick - t.last_tick >= t.every
 
 let record t ~tick fields =

@@ -1,6 +1,6 @@
 (** The search flight recorder: a [stabreg/mc-profile/v1] timeline of
     periodic engine snapshots (states/sec, frontier depth, pruning hits,
-    per-domain utilization, ...).
+    per-domain trial splits, ...).
 
     Sampling cadence is keyed on a deterministic progress counter (model
     checker states, chaos trials) — never on wall time — so which
@@ -21,11 +21,6 @@ val create : ?every:int -> ?clock:(unit -> float) -> kind:string -> unit -> t
     engine (["mc"], ["chaos"]).  Raises [Invalid_argument] when [every]
     is not positive. *)
 
-val branch : t -> t
-(** A fresh recorder with the same kind/cadence/clock and no samples —
-    one per frontier worker, since a recorder must not be shared across
-    domains.  Merge the branches back with {!add_section}. *)
-
 val due : t -> tick:int -> bool
 (** Would a {!sample} at [tick] record? *)
 
@@ -36,13 +31,13 @@ val sample : ?force:bool -> t -> tick:int -> (unit -> (string * Json.t) list) ->
     thunk is only evaluated when the sample records. *)
 
 val add_section : t -> string -> Json.t -> unit
-(** Attach a named top-level section (e.g. ["domains"]: per-slice
-    summaries of a parallel search). *)
+(** Attach a named top-level section (e.g. ["domains"]: the per-domain
+    split of a fanned-out chaos campaign). *)
 
 val samples : t -> int
 
 val sample_jsons : t -> Json.t list
-(** The recorded samples, oldest first (for merging slice recorders). *)
+(** The recorded samples, oldest first. *)
 
 val to_json : t -> Json.t
 

@@ -1,24 +1,14 @@
-(* Deterministic fan-out over OCaml 5 domains, plus the sanctioned
-   shared-memory primitives for cooperative frontier search.
+(* Deterministic fan-out over OCaml 5 domains.
 
-   The [map]/[map_checked] contract is not speed but *reproducibility*:
-   callers (chaos campaigns) must observe results that are bit-identical
-   no matter how the runtime schedules domains.  So that layer is
-   deliberately minimal: a fixed round-robin assignment of items to
-   workers decided before any domain starts, results written to distinct
-   slots of a preallocated array (plain writes to distinct indices from
-   different domains are race-free, and [Domain.join] publishes them to
-   the caller), and exceptions re-raised in item order.
-
-   The frontier primitives below are the one deliberate exception: the
-   model checker's cooperative search *wants* domains to exchange work
-   and share a visited set.  All synchronization lives here — per-deque
-   and per-shard mutexes, atomic counters — so workers built on top
-   never hold a lock themselves and never block inside their own
-   closures. *)
-
-let available_domains () =
-  max 1 (Domain.recommended_domain_count () - 1)
+   The contract is not speed but *reproducibility*: callers (chaos
+   campaigns, the shard tier) must observe results that are
+   bit-identical no matter how the runtime schedules domains.  So this
+   module is deliberately minimal: a fixed round-robin assignment of
+   items to workers decided before any domain starts, results written
+   to distinct slots of a preallocated array (plain writes to distinct
+   indices from different domains are race-free, and [Domain.join]
+   publishes them to the caller), and exceptions re-raised in item
+   order. *)
 
 exception Worker_failure of int * exn
 
@@ -58,59 +48,7 @@ let map ~domains f items =
          results)
   end
 
-(* Worker 0 on the calling domain, workers 1..domains-1 spawned; the
-   callees communicate through the internally-synchronized structures
-   handed to them, so — unlike [map] — concurrency is the point, not an
-   implementation detail. *)
-let scatter ~domains f =
-  if domains < 1 then
-    invalid_arg "Parallel.Pool.scatter: domains must be >= 1";
-  if domains = 1 then [ f 0 ]
-  else begin
-    let results = Array.make domains None in
-    let run i =
-      results.(i) <-
-        (match f i with v -> Some (Ok v) | exception e -> Some (Error e))
-    in
-    let workers =
-      List.init (domains - 1) (fun w -> Domain.spawn (fun () -> run (w + 1)))
-    in
-    run 0;
-    List.iter Domain.join workers;
-    Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
-           | Some (Ok v) -> v
-           | Some (Error e) -> raise (Worker_failure (i, e))
-           | None -> assert false)
-         results)
-  end
-
 exception Nondeterministic of int
-
-(* Deterministic per-index selection for [check_fraction]: a splitmix64
-   step of [seed xor golden*index] folded to a 30-bit threshold test.
-   Pure arithmetic — the same (fraction, seed, index) always selects the
-   same items, on any host, under any scheduling. *)
-let splitmix64 x =
-  let open Int64 in
-  let z = add x 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let check_selected ~fraction ~seed i =
-  if fraction >= 1.0 then true
-  else if fraction <= 0.0 then false
-  else
-    let h =
-      splitmix64
-        (Int64.logxor (Int64.of_int seed)
-           (Int64.mul 0x2545F4914F6CDD1DL (Int64.of_int (i + 1))))
-    in
-    let bits = Int64.to_int (Int64.logand h 0x3FFFFFFFL) in
-    float_of_int bits < fraction *. 1073741824.0
 
 (* The race harness: run the fan-out twice, the second time with the
    scheduling order inverted — workers spawned in reverse shard order
@@ -118,17 +56,11 @@ let check_selected ~fraction ~seed i =
    runs on the calling domain, preserving the sink-attachment
    contract).  Any dependence on execution order — a shared accumulator,
    an order-sensitive RNG, a data race that happens to be benign under
-   one schedule — shows up as a result mismatch.  [check_fraction]
-   restricts the second pass to a deterministic seed-derived subset of
-   the items, so soak-sized campaigns don't pay double. *)
-let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
-    ?recheck f items =
-  if not (check_fraction >= 0.0 && check_fraction <= 1.0) then
-    invalid_arg "Parallel.Pool.map_checked: check_fraction must be in [0,1]";
+   one schedule — shows up as a result mismatch. *)
+let map_checked ~domains ?equal ?recheck f items =
   let first = map ~domains f items in
   let g = Option.value recheck ~default:f in
   let eq = Option.value equal ~default:(fun a b -> a = b) in
-  let selected = check_selected ~fraction:check_fraction ~seed:check_seed in
   let items = Array.of_list items in
   let n = Array.length items in
   let k = min domains (max 1 n) in
@@ -137,11 +69,10 @@ let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
     let count = if shard >= n then 0 else ((n - 1 - shard) / k) + 1 in
     let j = ref (shard + ((count - 1) * k)) in
     while !j >= 0 do
-      (if selected !j then
-         results.(!j) <-
-           (match g items.(!j) with
-           | v -> Some (Ok v)
-           | exception e -> Some (Error e)));
+      results.(!j) <-
+        (match g items.(!j) with
+        | v -> Some (Ok v)
+        | exception e -> Some (Error e));
       j := !j - k
     done
   in
@@ -156,228 +87,8 @@ let map_checked ~domains ?(check_fraction = 1.0) ?(check_seed = 0) ?equal
   end;
   List.iteri
     (fun i v1 ->
-      if selected i then
-        match results.(i) with
-        | Some (Ok v2) when eq v1 v2 -> ()
-        | Some (Ok _) | Some (Error _) | None -> raise (Nondeterministic i))
+      match results.(i) with
+      | Some (Ok v2) when eq v1 v2 -> ()
+      | Some (Ok _) | Some (Error _) | None -> raise (Nondeterministic i))
     first;
   first
-
-(* --- work-stealing deque ---------------------------------------------- *)
-
-module Deque = struct
-  (* A mutex-protected ring buffer.  Lock-free Chase–Lev would shave
-     nanoseconds that do not matter at model-checking task granularity
-     (each task costs a full prefix replay); a mutex per operation keeps
-     every interleaving trivially correct. *)
-  type 'a t = {
-    dq_lock : Mutex.t;
-    mutable dq_buf : 'a option array;
-    mutable dq_head : int;  (* index of the oldest element *)
-    mutable dq_len : int;
-  }
-
-  let create () =
-    {
-      dq_lock = Mutex.create ();
-      dq_buf = Array.make 16 None;
-      dq_head = 0;
-      dq_len = 0;
-    }
-
-  let grow d =
-    let cap = Array.length d.dq_buf in
-    let buf = Array.make (cap * 2) None in
-    for i = 0 to d.dq_len - 1 do
-      buf.(i) <- d.dq_buf.((d.dq_head + i) mod cap)
-    done;
-    d.dq_buf <- buf;
-    d.dq_head <- 0
-
-  let locked d f =
-    Mutex.lock d.dq_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.dq_lock) f
-
-  let push d x =
-    locked d (fun () ->
-        if d.dq_len = Array.length d.dq_buf then grow d;
-        d.dq_buf.((d.dq_head + d.dq_len) mod Array.length d.dq_buf) <- Some x;
-        d.dq_len <- d.dq_len + 1)
-
-  let pop d =
-    locked d (fun () ->
-        if d.dq_len = 0 then None
-        else begin
-          let i = (d.dq_head + d.dq_len - 1) mod Array.length d.dq_buf in
-          let x = d.dq_buf.(i) in
-          d.dq_buf.(i) <- None;
-          d.dq_len <- d.dq_len - 1;
-          x
-        end)
-
-  let steal d =
-    locked d (fun () ->
-        if d.dq_len = 0 then None
-        else begin
-          let x = d.dq_buf.(d.dq_head) in
-          d.dq_buf.(d.dq_head) <- None;
-          d.dq_head <- (d.dq_head + 1) mod Array.length d.dq_buf;
-          d.dq_len <- d.dq_len - 1;
-          x
-        end)
-
-  let length d = locked d (fun () -> d.dq_len)
-end
-
-(* --- sharded fingerprint map ------------------------------------------ *)
-
-module Fp_map = struct
-  type 'v shard = {
-    sh_lock : Mutex.t;
-    sh_tbl : (int, (string * 'v) list) Hashtbl.t;
-    mutable sh_entries : int;
-    mutable sh_collisions : int;
-  }
-
-  type 'v t = { fpm_shards : 'v shard array }
-
-  let create ?(shards = 64) () =
-    if shards < 1 then
-      invalid_arg "Parallel.Pool.Fp_map.create: shards must be >= 1";
-    {
-      fpm_shards =
-        Array.init shards (fun _ ->
-            {
-              sh_lock = Mutex.create ();
-              sh_tbl = Hashtbl.create 1024;
-              sh_entries = 0;
-              sh_collisions = 0;
-            });
-    }
-
-  let shards t = Array.length t.fpm_shards
-
-  (* The same 64-bit structural key the sequential checker folds from
-     the first 8 bytes of the raw digest.  [Int64.to_int] can go
-     negative, so the shard index normalizes the remainder. *)
-  let fp_key raw = Int64.to_int (String.get_int64_le raw 0)
-
-  let shard_of t raw =
-    let s = Array.length t.fpm_shards in
-    let key = fp_key raw in
-    let i = ((key mod s) + s) mod s in
-    (key, t.fpm_shards.(i))
-
-  let locked sh f =
-    Mutex.lock sh.sh_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_lock) f
-
-  let update t raw f =
-    let key, sh = shard_of t raw in
-    locked sh (fun () ->
-        let bucket =
-          match Hashtbl.find_opt sh.sh_tbl key with
-          | None -> []
-          | Some b -> b
-        in
-        let cur =
-          List.find_map
-            (fun (r, v) -> if String.equal r raw then Some v else None)
-            bucket
-        in
-        let next, ret = f cur in
-        (match (cur, next) with
-        | None, None -> ()
-        | None, Some v ->
-          if bucket <> [] then sh.sh_collisions <- sh.sh_collisions + 1;
-          Hashtbl.replace sh.sh_tbl key ((raw, v) :: bucket);
-          sh.sh_entries <- sh.sh_entries + 1
-        | Some _, Some v ->
-          Hashtbl.replace sh.sh_tbl key
-            (List.map
-               (fun (r, v0) -> if String.equal r raw then (r, v) else (r, v0))
-               bucket)
-        | Some _, None ->
-          let bucket =
-            List.filter (fun (r, _) -> not (String.equal r raw)) bucket
-          in
-          if bucket = [] then Hashtbl.remove sh.sh_tbl key
-          else Hashtbl.replace sh.sh_tbl key bucket;
-          sh.sh_entries <- sh.sh_entries - 1);
-        ret)
-
-  let find t raw = update t raw (fun cur -> (cur, cur))
-
-  let length t =
-    Array.fold_left
-      (fun acc sh -> acc + locked sh (fun () -> sh.sh_entries))
-      0 t.fpm_shards
-
-  let collisions t =
-    Array.fold_left
-      (fun acc sh -> acc + locked sh (fun () -> sh.sh_collisions))
-      0 t.fpm_shards
-end
-
-(* --- the shared work-stealing frontier -------------------------------- *)
-
-module Frontier = struct
-  type 'a t = {
-    fro_deques : 'a Deque.t array;
-    (* Tasks pushed but not yet [finish]ed.  Strictly positive while any
-       task is queued *or* being expanded, so "all deques empty" alone
-       never terminates a worker whose sibling is about to push. *)
-    fro_pending : int Atomic.t;
-    fro_stop : bool Atomic.t;
-    fro_reverse : bool;
-    (* Slot [w] is written only by worker [w] (inside its own [take])
-       and read after the join — per-slot single-writer, race-free. *)
-    fro_steals : int array;
-  }
-
-  let create ?(reverse_steal = false) ~workers () =
-    if workers < 1 then
-      invalid_arg "Parallel.Pool.Frontier.create: workers must be >= 1";
-    {
-      fro_deques = Array.init workers (fun _ -> Deque.create ());
-      fro_pending = Atomic.make 0;
-      fro_stop = Atomic.make false;
-      fro_reverse = reverse_steal;
-      fro_steals = Array.make workers 0;
-    }
-
-  let push t ~worker x =
-    ignore (Atomic.fetch_and_add t.fro_pending 1);
-    Deque.push t.fro_deques.(worker) x
-
-  let finish t ~worker:_ =
-    ignore (Atomic.fetch_and_add t.fro_pending (-1))
-
-  let stop t = Atomic.set t.fro_stop true
-  let stopped t = Atomic.get t.fro_stop
-
-  let take t ~worker =
-    if Atomic.get t.fro_stop then `Done
-    else
-      match Deque.pop t.fro_deques.(worker) with
-      | Some x -> `Task x
-      | None ->
-        let n = Array.length t.fro_deques in
-        let victim k =
-          let off = if t.fro_reverse then n - k else k in
-          (worker + off + n) mod n
-        in
-        let rec scan k =
-          if k >= n then
-            if Atomic.get t.fro_pending = 0 then `Done else `Retry
-          else
-            match Deque.steal t.fro_deques.(victim k) with
-            | Some x ->
-              t.fro_steals.(worker) <- t.fro_steals.(worker) + 1;
-              `Task x
-            | None -> scan (k + 1)
-        in
-        scan 1
-
-  let steals t = Array.copy t.fro_steals
-end

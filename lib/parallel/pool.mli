@@ -1,5 +1,4 @@
-(** Deterministic fan-out over OCaml 5 domains, plus the shared-memory
-    primitives for the model checker's cooperative frontier search.
+(** Deterministic fan-out over OCaml 5 domains.
 
     The one guarantee everything else in this repo leans on: the value
     [map ~domains f items] returns — including which exception it
@@ -8,19 +7,7 @@
     before any domain starts, results land in distinct slots, and
     failures are reported in item order.  [f] must itself be
     self-contained: it runs concurrently with the other items and must
-    not touch shared mutable state.
-
-    The frontier primitives ({!Deque}, {!Fp_map}, {!Frontier},
-    {!scatter}) deliberately relax that contract: they are the
-    *sanctioned* shared state for cooperative search, each internally
-    synchronized (per-shard or per-deque mutexes, atomic counters) so
-    callers never hold a lock themselves.  Timing-dependent facts (who
-    stole what, who visited a state first) stay internal; callers are
-    responsible for reporting only schedule-independent projections. *)
-
-val available_domains : unit -> int
-(** Domains worth spawning beside the caller's:
-    [recommended_domain_count () - 1], floored at 1. *)
+    not touch shared mutable state. *)
 
 exception Worker_failure of int * exn
 (** [Worker_failure (i, e)]: applying [f] to item [i] raised [e].  When
@@ -36,24 +23,12 @@ val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
     single item) no domain is spawned at all and the call is exactly
     [List.map].  Raises [Invalid_argument] if [domains < 1]. *)
 
-val scatter : domains:int -> (int -> 'a) -> 'a list
-(** [scatter ~domains f] runs [f 0 .. f (domains-1)], one call per
-    domain ([f 0] on the calling domain, the rest on spawned workers),
-    and returns the results in index order.  Unlike {!map} this is the
-    *cooperative* fan-out: all calls run concurrently by construction,
-    so the [f i] may communicate through internally-synchronized
-    structures ({!Frontier}, {!Fp_map}, [Atomic.t]) handed to them.
-    Failures are reported as [Worker_failure] with the lowest failing
-    index.  Raises [Invalid_argument] if [domains < 1]. *)
-
 exception Nondeterministic of int
 (** [Nondeterministic i]: item [i] produced a different result when the
     fan-out was re-run with inverted scheduling order. *)
 
 val map_checked :
   domains:int ->
-  ?check_fraction:float ->
-  ?check_seed:int ->
   ?equal:('b -> 'b -> bool) ->
   ?recheck:('a -> 'b) ->
   ('a -> 'b) ->
@@ -63,109 +38,11 @@ val map_checked :
     [map ~domains f items], then the same shard set run a second time
     with inverted scheduling — workers spawned in reverse shard order,
     each shard walking its items highest-index first (item [0] still on
-    the calling domain) — asserting per-item equal results.  A mismatch
-    (or a second-pass failure) raises [Nondeterministic i] for the
-    lowest differing index; otherwise the first pass's results are
-    returned, so a clean [map_checked] is observationally [map].
-    [equal] defaults to structural equality; [recheck] (default [f])
-    runs the second pass, letting callers suppress caller-local side
-    effects (e.g. not re-attaching a sink) while computing the same
-    value.
-
-    [check_fraction] (default [1.0]) bounds the second pass: each item
-    is re-run with probability [check_fraction], selected
-    deterministically per index by a splitmix hash of [check_seed]
-    (default [0]) — the same [(fraction, seed, index)] triple always
-    selects the same items, independent of [domains] and of scheduling.
-    [check_fraction >= 1.0] re-runs every item (exactly the historical
-    behavior); [0.0] re-runs none (the call degrades to {!map}).
-    Raises [Invalid_argument] if [check_fraction] is not in [0,1]. *)
-
-(** Mutex-protected double-ended work queue: the per-worker building
-    block of {!Frontier}.  [push]/[pop] operate on the newest end (the
-    owner's LIFO, preserving depth-first locality); [steal] takes from
-    the oldest end, i.e. the shallowest outstanding work — the biggest
-    subtree, which amortizes the thief's replay cost.  Every operation
-    takes the deque's lock, so any mix of concurrent callers is safe. *)
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
-  (** Newest end (LIFO). *)
-
-  val steal : 'a t -> 'a option
-  (** Oldest end (FIFO). *)
-
-  val length : 'a t -> int
-end
-
-(** Sharded fingerprint-keyed map: the cooperative visited set.  Keys
-    are raw digests of at least 8 bytes; each digest is interned under
-    the 64-bit key folded from its first 8 bytes, in the shard
-    [key mod shards], each shard an independently-locked [Hashtbl].
-    Buckets keep the full raw digests, so an 8-byte key collision is
-    verified against the whole digest before two keys are ever merged
-    ([collisions] counts how often that second layer fired). *)
-module Fp_map : sig
-  type 'v t
-
-  val create : ?shards:int -> unit -> 'v t
-  (** [shards] defaults to 64.  Raises [Invalid_argument] if
-      [shards < 1]. *)
-
-  val update : 'v t -> string -> ('v option -> 'v option * 'r) -> 'r
-  (** [update t raw f] applies [f] to the current binding of [raw]
-      ([None] if absent) *atomically*, holding the shard lock across
-      the lookup and the write-back: [f] returns the new binding
-      ([None] removes) and a result passed through to the caller.
-      This is the linearization point callers build "check then insert"
-      plans on; [f] must be quick and must not touch [t]. *)
-
-  val find : 'v t -> string -> 'v option
-  val length : 'v t -> int
-  (** Total distinct digests interned, across all shards. *)
-
-  val collisions : 'v t -> int
-  (** Distinct digests interned under an already-occupied 64-bit key. *)
-
-  val shards : 'v t -> int
-end
-
-(** The shared work-stealing frontier: one {!Deque} per worker plus an
-    atomic count of outstanding tasks and a stop flag.  Workers [push]
-    to their own deque, [take] from their own deque first (newest end)
-    and otherwise steal the oldest task from a sibling, scanning
-    victims round-robin from their own index.  Work-conserving
-    termination: [take] answers [`Done] only once no task is queued
-    *and* none is still being processed (each [push] increments the
-    outstanding count; the processor calls [finish] after expanding a
-    task, children already pushed). *)
-module Frontier : sig
-  type 'a t
-
-  val create : ?reverse_steal:bool -> workers:int -> unit -> 'a t
-  (** [reverse_steal] scans steal victims in descending index order —
-      the inverted schedule used by race-check second passes.  Raises
-      [Invalid_argument] if [workers < 1]. *)
-
-  val push : 'a t -> worker:int -> 'a -> unit
-
-  val take : 'a t -> worker:int -> [ `Task of 'a | `Retry | `Done ]
-  (** [`Retry]: nothing to steal right now but some task is still in
-      flight and may spawn work — spin (with [Domain.cpu_relax]) and
-      ask again.  [`Done]: the frontier is drained or [stop]ped. *)
-
-  val finish : 'a t -> worker:int -> unit
-  (** Declare the task obtained from [take] fully expanded. *)
-
-  val stop : 'a t -> unit
-  (** Make every subsequent [take] answer [`Done] (early exit on a
-      violation or an exhausted budget).  Idempotent. *)
-
-  val stopped : 'a t -> bool
-
-  val steals : 'a t -> int array
-  (** Per-worker count of tasks obtained by stealing (a copy). *)
-end
+    the calling domain) — asserting per-item equal results.  Every item
+    is re-run.  A mismatch (or a second-pass failure) raises
+    [Nondeterministic i] for the lowest differing index; otherwise the
+    first pass's results are returned, so a clean [map_checked] is
+    observationally [map].  [equal] defaults to structural equality;
+    [recheck] (default [f]) runs the second pass, letting callers
+    suppress caller-local side effects (e.g. not re-attaching a sink)
+    while computing the same value. *)

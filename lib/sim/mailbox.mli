@@ -20,7 +20,7 @@ val recv_until : engine:Engine.t -> deadline:Vtime.t -> 'm t -> 'm option
     arriving strictly after the deadline event fires is left queued. *)
 
 val drain : 'm t -> 'm list
-(** Dequeue everything currently queued, without blocking. *)
+(** Take everything currently queued, without blocking. *)
 
 val to_list : 'm t -> 'm list
 (** Everything currently queued, oldest first, without dequeuing — for

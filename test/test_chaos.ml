@@ -301,6 +301,87 @@ let test_roam_bookkeeping () =
        (Registers.Net.is_correct scn.Harness.Scenario.net)
        (List.init 17 Fun.id))
 
+(* --- artifact honesty: mutated artifacts are rejected --- *)
+
+let rejected_with ~prefix name = function
+  | Ok _ -> Alcotest.failf "%s: mutated artifact accepted" name
+  | Error e ->
+    check_true
+      (Printf.sprintf "%s: rejected as %s (got %S)" name prefix e)
+      (String.starts_with ~prefix e)
+
+let read_json path =
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Obs.Json.parse_exn s
+
+(* Rewrite the value under [key] in a top-level object. *)
+let set_field key f = function
+  | Obs.Json.Obj kvs ->
+    Obs.Json.Obj
+      (List.map
+         (fun (k, v) -> if String.equal k key then (k, f v) else (k, v))
+         kvs)
+  | j -> j
+
+let test_recovery_artifact_rejects_edited_schedule () =
+  let committed = read_json "../examples/recovery/crash_burst_n9.json" in
+  (match Recovery.of_json committed with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "committed artifact rejected: %s" e);
+  let drop_first = function
+    | Obs.Json.List (_ :: rest) -> Obs.Json.List rest
+    | j -> j
+  in
+  let fractional_server = function
+    | Obs.Json.List (ev :: rest) ->
+      Obs.Json.List
+        (set_field "server" (fun _ -> Obs.Json.Float 1.5) ev :: rest)
+    | j -> j
+  in
+  List.iter
+    (fun (name, mutate) ->
+      rejected_with ~prefix:"recovery.schedule" name
+        (Recovery.of_json (set_field "schedule" mutate committed)))
+    [ ("dropped crash event", drop_first); ("server 1.5", fractional_server) ]
+
+let chaos_examples = "../examples/chaos"
+
+let committed_chaos_repros () =
+  Sys.readdir chaos_examples |> Array.to_list |> List.sort String.compare
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.map (Filename.concat chaos_examples)
+
+let replay_file j =
+  let path = Filename.temp_file "stabreg-chaos-repro" ".json" in
+  let oc = open_out path in
+  output_string oc (Obs.Json.to_string j);
+  close_out oc;
+  let r = Exp_drivers.Exp_chaos.replay path in
+  Sys.remove path;
+  r
+
+let test_chaos_repros_replay_whole_verdict () =
+  let paths = committed_chaos_repros () in
+  List.iter
+    (fun path ->
+      match Exp_drivers.Exp_chaos.replay path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s does not replay: %s" path e)
+    paths;
+  let committed =
+    match paths with
+    | p :: _ -> read_json p
+    | [] -> Alcotest.fail "no committed chaos repros"
+  in
+  let verdict_field key v = set_field "verdict" (set_field key (fun _ -> v)) in
+  rejected_with ~prefix:"verdict.count" "count -1"
+    (Campaign.repro_of_json
+       (verdict_field "count" (Obs.Json.Int (-1)) committed));
+  rejected_with ~prefix:"replay did NOT reproduce" "edited detail"
+    (replay_file (verdict_field "detail" (Obs.Json.Str "edited") committed))
+
 let tests =
   [
     case "strategy wire names round-trip" test_strategy_round_trip;
@@ -318,4 +399,8 @@ let tests =
       test_collusion_above_bound_violates_and_replays;
     case "shrinking keeps the essential roam" test_shrink_keeps_the_essential_roam;
     case "mobile roam bookkeeping" test_roam_bookkeeping;
+    case "recovery artifact rejects an edited schedule"
+      test_recovery_artifact_rejects_edited_schedule;
+    case "chaos repros replay the whole verdict"
+      test_chaos_repros_replay_whole_verdict;
   ]

@@ -69,7 +69,10 @@ let test_reduction_soundness_cross_check () =
     > 0)
 
 (* A shuffled exploration order covers the same reduced space: identical
-   exhaustive verdict, and the same seed gives the same run twice. *)
+   exhaustive verdict, and the same seed gives the same run twice.  Two
+   searches in the same order — default or seeded, clean or violating —
+   are structurally identical outcomes: verdict, trace, exhaustiveness
+   and every stat, so no hidden global state leaks between runs. *)
 let test_order_seed_deterministic () =
   let a = Mc.Checker.search ~seed:5 tiny_cfg in
   let b = Mc.Checker.search ~seed:5 tiny_cfg in
@@ -79,7 +82,16 @@ let test_order_seed_deterministic () =
        (Mc.Checker.search tiny_cfg).Mc.Checker.verdict);
   check_int "same seed, same exploration"
     a.Mc.Checker.stats.Mc.Checker.states
-    b.Mc.Checker.stats.Mc.Checker.states
+    b.Mc.Checker.stats.Mc.Checker.states;
+  List.iter
+    (fun (name, seed, cfg) ->
+      check_true (name ^ ": two searches structurally equal")
+        (Mc.Checker.search ?seed cfg = Mc.Checker.search ?seed cfg))
+    [
+      ("tiny, default order", None, tiny_cfg);
+      ("tiny, seed 5", Some 5, tiny_cfg);
+      ("over-bound, default order", None, overbound_cfg);
+    ]
 
 (* --- the negative run: violation found, shrunk, replayed ------------ *)
 

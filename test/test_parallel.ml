@@ -130,367 +130,54 @@ let test_map_checked_item_zero_on_caller_both_passes () =
   check_true "item 0 on the calling domain in both passes"
     (List.for_all Fun.id homes)
 
-(* --- Parallel.Pool.map_checked ?check_fraction ------------------------ *)
+(* --- mc counterexample pipeline ------------------------------------- *)
 
-let racy_counter () =
-  let c = Atomic.make 0 in
-  fun _ -> Atomic.fetch_and_add c 1
-
-let test_check_fraction_one_is_default () =
-  (* fraction=1.0 must behave exactly like the historical default: same
-     results on a pure map, and the same Nondeterministic catch on an
-     order-dependent one. *)
-  let xs = List.init 13 Fun.id in
-  Alcotest.(check (list int))
-    "pure map agrees with the default"
-    (Parallel.Pool.map_checked ~domains:2 (fun x -> x * 7) xs)
-    (Parallel.Pool.map_checked ~domains:2 ~check_fraction:1.0
-       (fun x -> x * 7)
-       xs);
-  (match
-     Parallel.Pool.map_checked ~domains:1 ~check_fraction:1.0 (racy_counter ())
-       [ 10; 20; 30 ]
-   with
-  | _ -> Alcotest.fail "fraction=1.0 missed the shared state"
-  | exception Parallel.Pool.Nondeterministic i ->
-    check_int "lowest differing index" 0 i)
-
-let test_check_fraction_zero_skips_all () =
-  (* fraction=0.0 never re-checks, so an order-dependent worker slips
-     through — the knob trades coverage for time, deterministically. *)
-  let r =
-    Parallel.Pool.map_checked ~domains:1 ~check_fraction:0.0 (racy_counter ())
-      [ 10; 20; 30 ]
-  in
-  Alcotest.(check (list int)) "first-pass results returned" [ 0; 1; 2 ] r
-
-let test_check_fraction_selection_deterministic () =
-  (* The selected subset is a pure function of (check_seed, index): two
-     runs recheck exactly the same items, and the subset is proper for a
-     middling fraction. *)
-  let recheck_count () =
-    let n = Atomic.make 0 in
-    let r =
-      Parallel.Pool.map_checked ~domains:2 ~check_fraction:0.5 ~check_seed:42
-        ~recheck:(fun x ->
-          Atomic.incr n;
-          x * 2)
-        (fun x -> x * 2)
-        (List.init 64 Fun.id)
-    in
-    check_true "results intact" (r = List.init 64 (fun x -> x * 2));
-    Atomic.get n
-  in
-  let a = recheck_count () and b = recheck_count () in
-  check_int "same subset across runs" a b;
-  check_true "a proper subset at fraction=0.5" (a > 0 && a < 64)
-
-let test_check_fraction_seed_varies_subset () =
-  let selected ~check_seed =
-    let hits = Atomic.make 0 in
-    ignore
-      (Parallel.Pool.map_checked ~domains:1 ~check_fraction:0.5 ~check_seed
-         ~recheck:(fun x ->
-           Atomic.incr hits;
-           x)
-         Fun.id
-         (List.init 64 Fun.id));
-    Atomic.get hits
-  in
-  (* both seeds select *some* items; the knob stays honest even if the
-     two counts coincide numerically *)
-  check_true "seed 1 selects items" (selected ~check_seed:1 > 0);
-  check_true "seed 2 selects items" (selected ~check_seed:2 > 0)
-
-let test_check_fraction_invalid () =
-  match
-    Parallel.Pool.map_checked ~domains:1 ~check_fraction:1.5 Fun.id [ 1 ]
-  with
-  | _ -> Alcotest.fail "fraction=1.5 accepted"
-  | exception Invalid_argument _ -> ()
-
-(* --- Parallel.Pool.Deque ---------------------------------------------- *)
-
-let test_deque_pop_newest_steal_oldest () =
-  let d = Parallel.Pool.Deque.create () in
-  List.iter (fun x -> Parallel.Pool.Deque.push d x) [ 1; 2; 3; 4 ];
-  check_int "length" 4 (Parallel.Pool.Deque.length d);
-  let opt_int = Alcotest.(check (option int)) in
-  opt_int "pop is LIFO" (Some 4) (Parallel.Pool.Deque.pop d);
-  opt_int "steal is FIFO" (Some 1) (Parallel.Pool.Deque.steal d);
-  opt_int "steal again" (Some 2) (Parallel.Pool.Deque.steal d);
-  opt_int "pop the rest" (Some 3) (Parallel.Pool.Deque.pop d);
-  opt_int "empty pop" None (Parallel.Pool.Deque.pop d);
-  opt_int "empty steal" None (Parallel.Pool.Deque.steal d)
-
-let test_deque_grows () =
-  let d = Parallel.Pool.Deque.create () in
-  let n = 1000 in
-  for i = 1 to n do
-    Parallel.Pool.Deque.push d i
-  done;
-  check_int "all retained" n (Parallel.Pool.Deque.length d);
-  (* drain alternating ends: pops walk down from n, steals up from 1 *)
-  let rec drain lo hi acc =
-    if lo > hi then List.rev acc
-    else
-      match
-        (Parallel.Pool.Deque.steal d, Parallel.Pool.Deque.pop d)
-      with
-      | Some s, Some p -> drain (lo + 1) (hi - 1) ((s, p) :: acc)
-      | Some s, None when lo = hi -> drain (lo + 1) (hi - 1) ((s, s) :: acc)
-      | _ -> Alcotest.fail "deque drained early"
-  in
-  let pairs = drain 1 n [] in
-  check_true "ends meet in order"
-    (List.for_all2
-       (fun (s, p) i -> s = i && p = n - i + 1)
-       (List.filteri (fun i _ -> i < n / 2) pairs)
-       (List.init (n / 2) (fun i -> i + 1)))
-
-(* --- Parallel.Pool.Fp_map (the sharded visited set) ------------------- *)
-
-(* Deterministic fingerprint pool: 16-byte strings whose first 8 bytes
-   are the 64-bit shard key.  [collide] pairs share that key (the
-   two-layer scheme's slow path) but differ in the tail. *)
-let fp ~key ~tail =
-  let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 (Int64.of_int key);
-  Bytes.set_int64_le b 8 (Int64.of_int tail);
-  Bytes.to_string b
-
-let test_fp_map_agrees_with_hashtbl_oracle () =
-  let rng = Random.State.make [| 2025 |] in
-  (* a stream with repeats and forced same-key collisions, replayed
-     identically against every shard count and a sequential oracle *)
-  let stream =
-    List.init 2_000 (fun _ ->
-        let key = Random.State.int rng 150 in
-        let tail =
-          if Random.State.bool rng then 0 else Random.State.int rng 3
-        in
-        fp ~key ~tail)
-  in
-  let oracle = Hashtbl.create 64 in
-  List.iteri
-    (fun i s -> if not (Hashtbl.mem oracle s) then Hashtbl.add oracle s i)
-    stream;
-  List.iter
-    (fun shards ->
-      let m = Parallel.Pool.Fp_map.create ~shards () in
-      List.iteri
-        (fun i s ->
-          let inserted =
-            Parallel.Pool.Fp_map.update m s (fun cur ->
-                match cur with
-                | None -> (Some i, true)
-                | Some v -> (Some v, false))
-          in
-          check_true
-            (Printf.sprintf "S=%d op %d insert agrees" shards i)
-            (Bool.equal inserted (Hashtbl.find oracle s = i)))
-        stream;
-      check_int
-        (Printf.sprintf "S=%d cardinality" shards)
-        (Hashtbl.length oracle)
-        (Parallel.Pool.Fp_map.length m);
-      Hashtbl.iter
-        (fun s v ->
-          check_true
-            (Printf.sprintf "S=%d member %d" shards v)
-            (Option.equal Int.equal (Parallel.Pool.Fp_map.find m s) (Some v)))
-        oracle;
-      check_true
-        (Printf.sprintf "S=%d absent key" shards)
-        (Option.is_none (Parallel.Pool.Fp_map.find m (fp ~key:9_999 ~tail:0)));
-      check_true
-        (Printf.sprintf "S=%d collisions counted" shards)
-        (Parallel.Pool.Fp_map.collisions m > 0))
-    [ 1; 2; 4; 8 ]
-
-let test_fp_map_collision_fixture () =
-  (* two fingerprints with the same 64-bit key must stay distinct
-     entries — the full-digest compare, not the folded key, decides *)
-  let a = fp ~key:77 ~tail:1 and b = fp ~key:77 ~tail:2 in
-  let m = Parallel.Pool.Fp_map.create ~shards:4 () in
-  ignore (Parallel.Pool.Fp_map.update m a (fun _ -> (Some "a", ())));
-  ignore (Parallel.Pool.Fp_map.update m b (fun _ -> (Some "b", ())));
-  check_int "both kept" 2 (Parallel.Pool.Fp_map.length m);
-  check_true "a intact"
-    (Option.equal String.equal (Parallel.Pool.Fp_map.find m a) (Some "a"));
-  check_true "b intact"
-    (Option.equal String.equal (Parallel.Pool.Fp_map.find m b) (Some "b"));
-  check_int "collision recorded" 1 (Parallel.Pool.Fp_map.collisions m);
-  (* no-collision control: distinct keys, silent counter *)
-  let m2 = Parallel.Pool.Fp_map.create ~shards:4 () in
-  ignore (Parallel.Pool.Fp_map.update m2 (fp ~key:1 ~tail:0) (fun _ -> (Some "x", ())));
-  ignore (Parallel.Pool.Fp_map.update m2 (fp ~key:2 ~tail:0) (fun _ -> (Some "y", ())));
-  check_int "distinct keys do not count" 0 (Parallel.Pool.Fp_map.collisions m2)
-
-let test_fp_map_update_removes () =
-  let m = Parallel.Pool.Fp_map.create ~shards:2 () in
-  let k = fp ~key:5 ~tail:0 in
-  ignore (Parallel.Pool.Fp_map.update m k (fun _ -> (Some 1, ())));
-  ignore (Parallel.Pool.Fp_map.update m k (fun _ -> (None, ())));
-  check_true "removed" (Option.is_none (Parallel.Pool.Fp_map.find m k));
-  check_int "length back to zero" 0 (Parallel.Pool.Fp_map.length m)
-
-let test_fp_map_concurrent_inserts () =
-  (* 4 domains hammer overlapping key ranges; the final table must hold
-     exactly the union, sharded consistently *)
-  let m = Parallel.Pool.Fp_map.create ~shards:8 () in
-  ignore
-    (Parallel.Pool.scatter ~domains:4 (fun w ->
-         for i = 0 to 499 do
-           let k = fp ~key:((i + (w * 250)) mod 800) ~tail:0 in
-           ignore
-             (Parallel.Pool.Fp_map.update m k (fun cur ->
-                  match cur with
-                  | None -> (Some 1, ())
-                  | Some n -> (Some (n + 1), ())))
-         done));
-  check_int "exactly the union of the ranges" 800
-    (Parallel.Pool.Fp_map.length m)
-
-(* --- search_parallel ≡ search ---------------------------------------- *)
-
-let mc_cfg ?(n = 3) ?(f = 0) ?(byz = []) ?(writes = 1) ?(reads = 1)
-    ?(read_budget = 2) () =
+let mc_cfg ?(n = 3) ?(f = 0) ?(byz = []) ?(read_budget = 2) () =
   {
     Mc.Config.family = Mc.Config.Regular;
     n;
     f;
     byz;
-    writes;
-    reads;
+    writes = 1;
+    reads = 1;
     read_budget;
     menu = [];
     oracle = Mc.Config.Family_default;
   }
 
-let trace_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-    List.length a = List.length b && List.for_all2 Mc.Sys.move_equal a b
-  | _ -> false
-
-(* The cooperative frontier search reports exhaustive-clean passes
-   directly (order-agnostic) and re-derives every other outcome through
-   the canonical sequential search, so for every config — clean or
-   violating — the parallel verdict, exhaustiveness and trace must be
-   bit-identical to the sequential ones at every domain count.  The grid
-   covers a clean exhaustive config, a symmetric 2-server one, an
-   atomic-oracle one, and a budget-truncated Byzantine config whose
-   sequential search finds a violation. *)
-let test_parallel_agrees_with_sequential () =
-  let grid =
-    [
-      ("reg-n2", mc_cfg ~n:2 (), None);
-      ("reg-n3", mc_cfg (), None);
-      ( "atomic-n3",
-        { (mc_cfg ()) with Mc.Config.family = Mc.Config.Atomic },
-        None );
-      ( "reg-n9-2silent",
-        mc_cfg ~n:9 ~f:1
-          ~byz:[ (0, Mc.Config.Silent); (1, Mc.Config.Silent) ]
-          ~read_budget:8 (),
-        Some { Mc.Checker.max_states = 20_000; max_depth = 10_000 } );
-    ]
-  in
-  List.iter
-    (fun (name, cfg, budgets) ->
-      let s = Mc.Checker.search ?budgets cfg in
-      List.iter
-        (fun domains ->
-          let p = Mc.Checker.search_parallel ?budgets ~domains cfg in
-          let tag =
-            Printf.sprintf "%s @%d domain(s)" name domains
-          in
-          check_true (tag ^ ": verdicts equal")
-            (Mc.Checker.verdict_equal s.Mc.Checker.verdict
-               p.Mc.Checker.verdict);
-          check_true (tag ^ ": traces equal")
-            (trace_equal s.Mc.Checker.trace p.Mc.Checker.trace);
-          check_true (tag ^ ": exhaustiveness equal")
-            (Bool.equal s.Mc.Checker.exhaustive p.Mc.Checker.exhaustive);
-          (* the visited set holds distinct states only, never more than
-             the expansions that populated it *)
-          check_true (tag ^ ": unique <= expanded")
-            (p.Mc.Checker.stats.Mc.Checker.peak_visited
-             <= p.Mc.Checker.stats.Mc.Checker.states
-            && p.Mc.Checker.stats.Mc.Checker.peak_visited > 0))
-        [ 1; 2; 4 ])
-    grid
-
-let test_parallel_reproducible () =
-  let cfg = mc_cfg () in
-  (* the reported projection — verdict, trace, exhaustiveness — is
-     scheduling-independent; per-worker counters are not, so only
-     domains=1 (the plain sequential searcher) pins exact stats *)
-  let p1 = Mc.Checker.search_parallel ~domains:4 cfg in
-  let p2 = Mc.Checker.search_parallel ~domains:4 cfg in
-  check_true "verdict reproducible"
-    (Mc.Checker.verdict_equal p1.Mc.Checker.verdict p2.Mc.Checker.verdict);
-  check_true "trace reproducible"
-    (trace_equal p1.Mc.Checker.trace p2.Mc.Checker.trace);
-  check_true "exhaustiveness reproducible"
-    (Bool.equal p1.Mc.Checker.exhaustive p2.Mc.Checker.exhaustive);
-  let s1 = Mc.Checker.search_parallel ~domains:1 cfg in
-  let s2 = Mc.Checker.search_parallel ~domains:1 cfg in
-  check_int "domains=1 states exactly reproducible"
-    s1.Mc.Checker.stats.Mc.Checker.states
-    s2.Mc.Checker.stats.Mc.Checker.states
-
-(* On a violating config, the counterexample the whole [check] pipeline
-   ships (shrunk, digest-stamped) must not depend on the domain count:
-   the committed examples/mc artifacts stay replayable under any
-   --domains value. *)
-let test_check_digest_independent_of_domains () =
-  let cfg =
-    mc_cfg ~n:9 ~f:1
-      ~byz:[ (0, Mc.Config.Silent); (1, Mc.Config.Silent) ]
-      ~read_budget:8 ()
-  in
-  let budgets = { Mc.Checker.max_states = 20_000; max_depth = 10_000 } in
-  let r1 = Mc.Checker.check ~budgets cfg in
-  let r2 = Mc.Checker.check ~budgets ~domains:2 cfg in
-  let r4 = Mc.Checker.check ~budgets ~domains:4 cfg in
-  match (r1.Mc.Checker.cex, r2.Mc.Checker.cex, r4.Mc.Checker.cex) with
-  | Some a, Some b, Some c ->
-    let agree tag (x : Mc.Checker.cex) (y : Mc.Checker.cex) =
-      check_true (tag ^ ": digests equal")
-        (String.equal x.Mc.Checker.digest y.Mc.Checker.digest);
-      check_true (tag ^ ": traces equal")
-        (List.length x.Mc.Checker.trace = List.length y.Mc.Checker.trace
-        && List.for_all2 Mc.Sys.move_equal x.Mc.Checker.trace
-             y.Mc.Checker.trace)
-    in
-    agree "domains 1 vs 2" a b;
-    agree "domains 1 vs 4" a c
-  | _ -> Alcotest.fail "expected a counterexample from all three runs"
-
-(* The race-checked search must agree with the plain one bit for bit:
-   the second inverted-steal pass is pure diagnostics.  Only domains=1
-   (two identical sequential runs) pins exact per-counter stats. *)
+(* A seed swarm fanned out through the race harness: every search runs
+   twice under inverted scheduling and must agree with itself and, item
+   by item, with the plain sequential search — verdict, trace and stats.
+   The grid mixes clean exhaustive configs with a budget-truncated
+   Byzantine one. *)
 let test_race_check_agrees () =
-  List.iter
-    (fun domains ->
-      let cfg = mc_cfg () in
-      let p = Mc.Checker.search_parallel ~domains cfg in
-      let r = Mc.Checker.search_parallel ~domains ~race_check:true cfg in
+  let truncated =
+    ( mc_cfg ~n:9 ~f:1
+        ~byz:[ (0, Mc.Config.Silent); (1, Mc.Config.Silent) ]
+        ~read_budget:8 (),
+      { Mc.Checker.max_states = 2_000; max_depth = 10_000 } )
+  in
+  let jobs =
+    List.concat_map
+      (fun seed ->
+        [
+          (seed, (mc_cfg (), Mc.Checker.default_budgets));
+          (seed, (mc_cfg ~n:2 (), Mc.Checker.default_budgets));
+          (seed, truncated);
+        ])
+      [ None; Some 1; Some 7 ]
+  in
+  let run (seed, (cfg, budgets)) = Mc.Checker.search ~budgets ?seed cfg in
+  let checked = Parallel.Pool.map_checked ~domains:3 run jobs in
+  List.iter2
+    (fun (p : Mc.Checker.outcome) (s : Mc.Checker.outcome) ->
       check_true "verdicts equal"
-        (Mc.Checker.verdict_equal p.Mc.Checker.verdict r.Mc.Checker.verdict);
-      check_true "traces equal"
-        (trace_equal p.Mc.Checker.trace r.Mc.Checker.trace);
-      if domains = 1 then
-        check_int "states equal" p.Mc.Checker.stats.Mc.Checker.states
-          r.Mc.Checker.stats.Mc.Checker.states)
-    [ 1; 3 ]
+        (Mc.Checker.verdict_equal p.Mc.Checker.verdict s.Mc.Checker.verdict);
+      check_true "outcomes equal" (p = s))
+    checked (List.map run jobs)
 
-(* Satellite 6 pin: the whole [check] pipeline at --domains 1 and
-   --domains 4 regenerates the committed examples/mc stuck artifact byte
-   for byte — the frontier refactor moved nothing observable. *)
+(* The whole [check] pipeline regenerates the committed examples/mc
+   stuck artifact byte for byte. *)
 let test_committed_artifact_byte_equal () =
   let path = "../examples/mc/mc-regular-stuck.json" in
   let committed =
@@ -507,19 +194,12 @@ let test_committed_artifact_byte_equal () =
       | Error e -> Alcotest.failf "%s: %s" path e
       | Ok c -> c)
   in
-  List.iter
-    (fun domains ->
-      let r = Mc.Checker.check ~domains cex.Mc.Checker.config in
-      match r.Mc.Checker.cex with
-      | None ->
-        Alcotest.failf "domains=%d found no counterexample" domains
-      | Some c ->
-        Alcotest.(check string)
-          (Printf.sprintf "domains=%d regenerates the committed bytes"
-             domains)
-          committed
-          (Obs.Json.to_string_pretty (Mc.Checker.cex_to_json c) ^ "\n"))
-    [ 1; 4 ]
+  match (Mc.Checker.check cex.Mc.Checker.config).Mc.Checker.cex with
+  | None -> Alcotest.fail "check found no counterexample"
+  | Some c ->
+    Alcotest.(check string)
+      "check regenerates the committed bytes" committed
+      (Obs.Json.to_string_pretty (Mc.Checker.cex_to_json c) ^ "\n")
 
 (* --- chaos campaign fan-out ------------------------------------------ *)
 
@@ -617,29 +297,6 @@ let tests =
       test_map_checked_first_pass_failure_wins;
     case "pool: map_checked keeps item 0 on caller"
       test_map_checked_item_zero_on_caller_both_passes;
-    case "pool: check_fraction=1.0 is the default"
-      test_check_fraction_one_is_default;
-    case "pool: check_fraction=0.0 skips rechecks"
-      test_check_fraction_zero_skips_all;
-    case "pool: check_fraction selection deterministic"
-      test_check_fraction_selection_deterministic;
-    case "pool: check_fraction seeds select items"
-      test_check_fraction_seed_varies_subset;
-    case "pool: check_fraction out of range rejected"
-      test_check_fraction_invalid;
-    case "deque: pop newest, steal oldest" test_deque_pop_newest_steal_oldest;
-    case "deque: grows past its initial capacity" test_deque_grows;
-    case "fp_map: agrees with Hashtbl oracle (S=1,2,4,8)"
-      test_fp_map_agrees_with_hashtbl_oracle;
-    case "fp_map: 64-bit key collision fixture" test_fp_map_collision_fixture;
-    case "fp_map: update can remove" test_fp_map_update_removes;
-    case "fp_map: concurrent inserts keep the union"
-      test_fp_map_concurrent_inserts;
-    case "mc: frontier ≡ sequential on config grid"
-      test_parallel_agrees_with_sequential;
-    case "mc: parallel search reproducible" test_parallel_reproducible;
-    case "mc: cex digest independent of domains"
-      test_check_digest_independent_of_domains;
     case "mc: race-checked search agrees" test_race_check_agrees;
     case "mc: committed artifact regenerated byte-for-byte"
       test_committed_artifact_byte_equal;

@@ -298,8 +298,6 @@ let test_profile_cadence () =
   check_int "cadence passed" 2 (Obs.Profile.samples p);
   Obs.Profile.sample ~force:true p ~tick:12 (fun () -> []);
   check_int "force overrides cadence" 3 (Obs.Profile.samples p);
-  let b = Obs.Profile.branch p in
-  check_int "branch starts empty" 0 (Obs.Profile.samples b);
   Obs.Profile.add_section p "domains" (Obs.Json.List []);
   let j = Obs.Profile.to_json p in
   (match Obs.Profile.validate j with
@@ -362,50 +360,6 @@ let test_mc_recorder () =
       "revisits"; "sleep_skips"; "sym_skips"; "fp_collisions"; "replays";
     ]
 
-let test_mc_recorder_domains () =
-  let rec_ = Obs.Profile.create ~every:100 ~kind:"mc" () in
-  let frontier =
-    Mc.Checker.search_parallel ~recorder:rec_ ~domains:2 tiny_cfg
-  in
-  let plain = Mc.Checker.search tiny_cfg in
-  check_true "frontier verdict matches sequential"
-    (Mc.Checker.verdict_equal frontier.Mc.Checker.verdict
-       plain.Mc.Checker.verdict);
-  let j = Obs.Profile.to_json rec_ in
-  (match Obs.Profile.validate j with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "frontier profile invalid: %s" e);
-  match Obs.Json.member "sections" j with
-  | None -> Alcotest.fail "no sections"
-  | Some sections -> (
-    match Obs.Json.member "domains" sections with
-    | None -> Alcotest.fail "no domains section"
-    | Some d ->
-      check_true "cooperative mode recorded"
-        (match Obs.Json.member "mode" d with
-        | Some (Obs.Json.Str m) -> String.equal m "frontier"
-        | _ -> false);
-      check_true "unique state count recorded"
-        (match Obs.Json.member "unique_states" d with
-        | Some (Obs.Json.Int n) -> n > 0
-        | _ -> false);
-      let workers =
-        match Obs.Json.member "workers" d with
-        | Some w -> Option.value ~default:[] (Obs.Json.to_list_opt w)
-        | None -> []
-      in
-      check_int "one summary per worker" 2 (List.length workers);
-      List.iter
-        (fun s ->
-          List.iter
-            (fun k ->
-              check_true ("worker field " ^ k) (Obs.Json.member k s <> None))
-            [
-              "worker"; "states"; "transitions"; "replays"; "steals";
-              "utilization"; "samples";
-            ])
-        workers)
-
 let test_chaos_recorder () =
   let cfg = Chaos.Campaign.default_config ~family:Chaos.Campaign.Regular in
   let verdicts r =
@@ -461,7 +415,6 @@ let tests =
     case "chrome trace_event export" test_chrome_export;
     case "profile cadence and sections" test_profile_cadence;
     case "mc search flight recorder" test_mc_recorder;
-    case "mc recorder across domains" test_mc_recorder_domains;
     case "chaos campaign flight recorder" test_chaos_recorder;
     case "profile write/reparse" test_profile_write;
   ]
