@@ -67,6 +67,12 @@ val collude : cell:Registers.Messages.cell -> t
     ([>= read_quorum]) this forges a read quorum for a value never written
     — the safety attack the resilience bounds exclude. *)
 
+val collusion_reply :
+  cell:Registers.Messages.cell ->
+  Registers.Messages.to_server ->
+  Registers.Messages.to_client
+(** The answer {!collude} sends to a message body. *)
+
 val flaky : drop_probability:float -> Registers.Server.t -> t
 (** Honest, but drops each delivery with the given probability (models a
     server "committing Byzantine failures" only sometimes). *)

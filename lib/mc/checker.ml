@@ -173,7 +173,7 @@ type stats = {
   mutable revisits : int;  (** pruned by the visited set *)
   mutable sleep_skips : int;  (** moves skipped by sleep sets *)
   mutable sym_skips : int;  (** moves skipped as symmetric to a sibling *)
-  mutable replays : int;  (** prefix re-executions (no snapshots) *)
+  mutable replays : int;  (** prefix re-executions (fiber-backed families) *)
   mutable off_target : int;  (** violations ignored by a [target] filter *)
   mutable fp_collisions : int;
       (** distinct digests interned under an already-occupied 8-byte key *)
@@ -432,15 +432,11 @@ let rec explore ctx ~prefix_rev ~depth ~sleep =
       (* The children to explore are known up front: enabled moves are
          distinct, so sibling exploration can never put a later
          *candidate* to sleep (only child sleeps grow as siblings are
-         explored).  Knowing the list lets the node keep its own live
-         state for the LAST child instead of donating it to the first:
-         earlier children run on replicas rebuilt by replay while the
-         entry state waits untouched, and the final child consumes it
-         with no replay at all.  Each node still pays exactly
-         [children - 1] replays — what changes is that no replay is ever
-         issued against a state the node still needs, which is what lets
-         the replica for child [i] be built *before* child [i-1]'s
-         subtree has been torn through the live state. *)
+         explored).  The entry state waits untouched while earlier
+         children run on copies of it, and the LAST child consumes it.
+         A copy is a snapshot where the representation allows one
+         (regular family); otherwise it is rebuilt by replaying the
+         prefix, [children - 1] replays per node. *)
       let to_explore =
         List.filter
           (fun mv -> not (List.exists (Sys.move_equal mv) !sleep))
@@ -453,8 +449,11 @@ let rec explore ctx ~prefix_rev ~depth ~sleep =
       let entry = ctx.sys in
       List.iteri
         (fun i mv ->
-          if i < last then replay_prefix ctx prefix_rev
-          else ctx.sys <- entry;
+          (if i >= last then ctx.sys <- entry
+           else
+             match Sys.snapshot entry with
+             | Some copy -> ctx.sys <- copy
+             | None -> replay_prefix ctx prefix_rev);
           ignore (Sys.apply ctx.sys mv);
           ctx.stats.transitions <- ctx.stats.transitions + 1;
           let child_sleep =
@@ -679,6 +678,13 @@ let int_field ctx key j =
     | None -> Error (Printf.sprintf "%s.%s: expected an integer" ctx key))
   | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
 
+let index_field ctx key j =
+  let* i = int_field ctx key j in
+  if i < 0 then
+    Error
+      (Printf.sprintf "%s.%s: expected a non-negative index, got %d" ctx key i)
+  else Ok i
+
 let move_of_json j =
   let* kind = str_field "move" "move" j in
   match kind with
@@ -686,10 +692,10 @@ let move_of_json j =
     let* label = str_field "move" "label" j in
     Ok (Sys.Deliver label)
   | "tick" ->
-    let* i = int_field "move" "index" j in
+    let* i = index_field "move" "index" j in
     Ok (Sys.Tick i)
   | "corrupt" ->
-    let* i = int_field "move" "item" j in
+    let* i = index_field "move" "item" j in
     Ok (Sys.Corrupt i)
   | s -> Error (Printf.sprintf "move: unknown kind %S" s)
 

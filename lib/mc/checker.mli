@@ -3,16 +3,18 @@
     and replayable counterexample artifacts.
 
     The explorer enumerates every interleaving of pending deliveries and
-    corruption-menu strikes up to the configured budgets, re-executing
-    prefixes from scratch where a snapshot would be needed (OCaml fibers
-    cannot be cloned).  States are merged by {!Sys.fingerprint}, interned
-    in the visited table under a 64-bit structural key with full-digest
-    collision verification.  Each visited state keeps the residual sleep
-    set — the enabled moves no visit has explored from it yet: a revisit
-    re-explores exactly that residual minus its own sleep set and nothing
-    else (Godefroid's sleep sets combined with state matching), which
-    both keeps the sleep-set/visited-set combination sound and avoids
-    re-expanding already-covered successors. *)
+    corruption-menu strikes up to the configured budgets.  Sibling
+    branches start from copies of their parent state: a {!Sys.snapshot}
+    for the regular family, whose states are plain data, and a replay of
+    the move prefix from a fresh {!Sys.create} for the fiber-backed
+    atomic and MWMR families.  States are merged by {!Sys.fingerprint},
+    interned in the visited table under a 64-bit structural key with
+    full-digest collision verification.  Each visited state keeps the
+    residual sleep set — the enabled moves no visit has explored from it
+    yet: a revisit re-explores exactly that residual minus its own sleep
+    set and nothing else (Godefroid's sleep sets combined with state
+    matching), which both keeps the sleep-set/visited-set combination
+    sound and avoids re-expanding already-covered successors. *)
 
 type verdict =
   | Clean
@@ -56,7 +58,10 @@ type stats = {
           partially re-expanded from the stored residual) *)
   mutable sleep_skips : int;  (** moves skipped by sleep sets *)
   mutable sym_skips : int;  (** moves skipped as symmetric to a sibling *)
-  mutable replays : int;  (** prefix re-executions (no snapshots) *)
+  mutable replays : int;
+      (** prefix re-executions: one per non-last sibling for families
+          whose states cannot be snapshotted (atomic, mwmr); 0 when
+          searching the regular family *)
   mutable off_target : int;  (** violations ignored by a [target] filter *)
   mutable fp_collisions : int;
       (** distinct full digests interned under an already-occupied 8-byte

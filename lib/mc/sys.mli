@@ -1,21 +1,36 @@
-(** A live register deployment under model-checker control.
+(** A register deployment under model-checker control.
 
-    One {!t} is one execution-in-progress of the configured system: the
-    protocol automata run unchanged over {!Registers.Net}, but nothing
-    fires by itself — the explorer repeatedly asks for the {!enabled}
-    moves and {!apply}s its choice.  All residual nondeterminism is pinned
-    (fixed unit link delays, deterministic Byzantine behaviors, concrete
-    corruption payloads), so an execution is exactly its move sequence:
-    replaying the same moves from a fresh {!create} reproduces the same
-    global state bit for bit.  That replay-from-choices property is what
-    the DFS uses instead of snapshotting (OCaml fibers cannot be cloned).
+    One {!t} is one execution-in-progress of the configured system, but
+    nothing fires by itself — the explorer repeatedly asks for the
+    {!enabled} moves and {!apply}s its choice.  All residual
+    nondeterminism is pinned (fixed unit link delays, deterministic
+    Byzantine behaviors, concrete corruption payloads), so an execution is
+    exactly its move sequence: replaying the same moves from a fresh
+    {!create} reproduces the same global state bit for bit.
+
+    A state has one of two representations, chosen by the family:
+    - {b regular}: plain data — server instances, per-link FIFO queues,
+      port round tags, mailboxes, and the writer and reader as explicit
+      step automata (the client control flow of [Swsr_regular] and of the
+      ss-broadcast, restated over the library's server automaton,
+      Byzantine behaviors and thresholds).  Such a state can be copied
+      ({!snapshot}), which is how the DFS branches;
+    - {b atomic, mwmr}: the protocol code itself, running unchanged as
+      fibers over {!Registers.Net} with every engine event held back.
+      OCaml fibers cannot be cloned, so the DFS rebuilds siblings by
+      replaying the move prefix.
+    Both render through one canonical fingerprint, and on the regular
+    family they agree move for move (enabled moves, fingerprints, history,
+    verdicts, traffic counters); {!create_fibers} keeps the fiber-backed
+    regular deployment as the reference.
 
     Soundness of the move menu w.r.t. the paper's model:
     - per-link FIFO: a [Deliver] always fires the oldest pending event of
       its link, never an overtaking one;
-    - synchronized ss-broadcast delivery: {!Registers.Net.ss_broadcast}
-      counts actual delivery callbacks, so the (n-2t)-th-correct-delivery
-      resume point is respected under any interleaving the explorer picks;
+    - synchronized ss-broadcast delivery: the broadcasting client resumes
+      at the min(n-2t, #correct)-th correct delivery callback, counted as
+      it happens, so the resume point is respected under any interleaving
+      the explorer picks;
     - transient corruption: a [Corrupt] move applies one menu item
       (at most once per execution), modelling a transient fault striking
       between any two events. *)
@@ -43,13 +58,26 @@ val independent : move -> move -> bool
 type t
 
 val create : Config.t -> t
-(** Build the deployment and start the client fibers (they run to their
-    first suspension, scheduling the first broadcasts).  Deterministic:
-    two [create]s of the same config are indistinguishable. *)
+(** Build the deployment and start the clients (they run to their first
+    block, issuing the first broadcasts).  Deterministic: two [create]s of
+    the same config are indistinguishable. *)
+
+val create_fibers : Config.t -> t
+(** {!create} with the fiber-backed representation whatever the family —
+    the reference implementation the regular family's data state is
+    checked against. *)
+
+val snapshot : t -> t option
+(** An independent copy of the state (applying moves to either leaves the
+    other untouched), or [None] for fiber-backed states. *)
 
 val config : t -> Config.t
 
 val engine : t -> Sim.Engine.t
+(** The engine the deployment runs on; its metrics hold the traffic
+    counters ([msg.sent.<class>.count], [msg.sent.<class>.bytes],
+    [ss.broadcasts]).  For a data state it is a fresh engine carrying the
+    state's clock and those counters. *)
 
 val history : t -> Oracles.History.t
 
@@ -59,28 +87,30 @@ val corrupt_times : t -> int list
 val enabled : t -> move list
 (** The current choice menu, deterministically ordered: one [Deliver] per
     link with pending traffic (label order), then [Tick]s, then the unused
-    [Corrupt] items (only while some client fiber is still running).
+    [Corrupt] items (only while some client is still running).
     Empty iff the execution is terminal. *)
 
 val apply : ?strict:bool -> t -> move -> bool
 (** Fire one move: advance the clock one tick, then execute it (and
     whatever protocol code it resumes, synchronously to the next
-    suspension).  Returns [true] on success.  An inapplicable move raises
-    [Invalid_argument] under [strict] (the default, for artifact replay)
-    and returns [false] otherwise (for shrink candidates, where a dropped
-    prefix may invalidate later moves). *)
+    block).  Returns [true] on success.  An inapplicable move (no pending
+    delivery on the link, a negative or out-of-range index, a menu item
+    already fired) raises [Invalid_argument] under [strict] (the default,
+    for artifact replay) and returns [false] otherwise (for shrink
+    candidates, where a dropped prefix may invalidate later moves). *)
 
 val client_active : t -> bool
-(** Some client fiber is still running. *)
+(** Some client is still running. *)
 
 val stuck : t -> string list
-(** Names of fibers that are not [Done] — non-empty at a terminal state
-    means the execution deadlocked (or crashed). *)
+(** Names of clients (["writer"], ["reader"], ["p0"], ...) that have not
+    finished — non-empty at a terminal state means the execution
+    deadlocked (or crashed). *)
 
 val fingerprint : t -> string
 (** Canonical digest of the global state: server instances, Byzantine
     assignment, per-link in-flight payloads, mailbox contents, port round
-    tags, client persistent bookkeeping, remaining corruption menu, fiber
+    tags, client persistent bookkeeping, remaining corruption menu, client
     statuses, and the recorded history with instants canonicalized to
     their rank (order type) so order-isomorphic pasts merge.  Server
     slots not named by any corruption-menu item are additionally

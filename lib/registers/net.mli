@@ -46,7 +46,7 @@ type client_port = {
       (** [Reliable_fifo] links; empty under [Stabilizing] *)
   from_servers : Messages.client_envelope Sim.Link.t array;
       (** [Reliable_fifo] links; empty under [Stabilizing] *)
-  mutable round : int;
+  mutable round : int;  (** in [\[0, round_modulus)] *)
   transport : port_transport;
   health : Health.t;
       (** per-server responsiveness evidence, fed by deadline-bounded
@@ -57,6 +57,9 @@ type client_port = {
           split off the engine's generator so installing a retry policy
           perturbs no other random stream *)
 }
+
+val round_modulus : int
+(** Round tags wrap modulo this bound. *)
 
 type t
 

@@ -18,9 +18,10 @@ let instances t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.insts []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let handle t (env : Messages.server_envelope) =
-  let i = instance t env.inst in
-  match env.body with
+(* Inlined so [handle], on every simulated delivery, compiles as one
+   function. *)
+let[@inline] respond i body =
+  match body with
   | Messages.Write c ->
     i.last_val <- c;
     Some (Messages.Ack_write i.helping)
@@ -30,6 +31,9 @@ let handle t (env : Messages.server_envelope) =
   | Messages.Read new_read ->
     if new_read then i.helping <- None;
     Some (Messages.Ack_read (i.last_val, i.helping))
+
+let handle t (env : Messages.server_envelope) =
+  respond (instance t env.inst) env.body
 
 (* A crash-recovery wipe loses the volatile state entirely: every known
    instance goes back to the pristine bot content a fresh automaton would

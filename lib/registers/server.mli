@@ -25,6 +25,11 @@ val handle : t -> Messages.server_envelope -> Messages.to_client option
     - [Read new]: reset [helping_val] to [⊥] when [new]; ack with
       [(last_val, helping_val)] (lines 22–23). *)
 
+val respond : instance -> Messages.to_server -> Messages.to_client option
+(** {!handle} for one instance: apply the message body to its state and
+    return the acknowledgment.  Exposed for callers that keep instance
+    state outside a {!t} (the model checker's copyable states). *)
+
 val instance : t -> int -> instance
 (** The state for a register instance (created with [bot] content on first
     access). *)
