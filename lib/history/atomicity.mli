@@ -10,7 +10,22 @@
     {!Mw} handles MWMR histories using the (epoch, seq, writer) timestamps
     recorded with each operation: writes must be totally ordered by
     timestamp consistently with real time (Lemma 16), and reads must be
-    monotone and sandwiched between the writes they follow and overlap. *)
+    monotone and sandwiched between the writes they follow and overlap.
+
+    Both are sorted sweeps, not all-pairs scans.  {!Sw} costs
+    O((R+W) log(R+W)) on a clean history: a value-to-write-index table,
+    then one binary search and one suffix-minimum lookup per read to rule
+    out inversions.  {!Mw} first ranks the timestamps when [Epoch.gt] is a
+    strict total order on the epochs present (checked pairwise over the
+    few distinct epochs), then prunes write-order and read-inversion
+    candidates with suffix minima, stale reads with prefix maxima over the
+    writes sorted by response, and answers plausibility from per-rank
+    tables: O((R+W) log(R+W)) too.  An op with a violation pays one scan
+    of its candidates.  When the epochs are not totally ordered
+    (pre-stabilization debris), {!Mw} compares every real-time-ordered
+    candidate pair, so its [incomparable-epochs] reports come out in the
+    same order as the definition's.  The all-pairs definitions both are
+    tested against live in [test/oracle_spec.ml]. *)
 
 type inversion = { earlier_read : History.op; later_read : History.op }
 

@@ -10,19 +10,31 @@ type op = {
   ts : (Registers.Epoch.t * int * int) option;
 }
 
-type t = { mutable ops_rev : op list; mutable count : int }
+type t = {
+  mutable ops_rev : op list;
+  mutable count : int;
+  mutable sorted : op list option;  (** [ops], until the next [record] *)
+}
 
-let create () = { ops_rev = []; count = 0 }
+let create () = { ops_rev = []; count = 0; sorted = None }
 
 let record t ~proc ~kind ~inv ~resp ?ts ?(ok = true) value =
   t.ops_rev <- { proc; kind; inv; resp; value; ok; ts } :: t.ops_rev;
-  t.count <- t.count + 1
+  t.count <- t.count + 1;
+  t.sorted <- None
 
 let ops t =
-  (* rev gives recording order; stable sort keeps it for equal times. *)
-  List.stable_sort
-    (fun a b -> Sim.Vtime.compare a.inv b.inv)
-    (List.rev t.ops_rev)
+  match t.sorted with
+  | Some ops -> ops
+  | None ->
+    (* rev gives recording order; stable sort keeps it for equal times. *)
+    let ops =
+      List.stable_sort
+        (fun a b -> Sim.Vtime.compare a.inv b.inv)
+        (List.rev t.ops_rev)
+    in
+    t.sorted <- Some ops;
+    ops
 
 let writes t = List.filter (fun o -> o.kind = Write) (ops t)
 

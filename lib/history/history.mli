@@ -40,7 +40,8 @@ val record :
   unit
 
 val ops : t -> op list
-(** All operations, sorted by invocation time (ties by recording order). *)
+(** All operations, sorted by invocation time (ties by recording order).
+    The sort runs once and is cached until the next {!record}. *)
 
 val writes : t -> op list
 

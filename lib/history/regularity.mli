@@ -5,7 +5,14 @@
     the read started, or the value of a write concurrent with the read.
     Reads invoked before the cutoff are ignored (they are allowed to return
     arbitrary values); reads that ran out of budget count as liveness
-    failures, reported separately. *)
+    failures, reported separately.
+
+    Cost: O((R+W) log W) for R reads and W writes — one binary search over
+    the writes sorted by response for each read, and a table from value to
+    write positions (O(1) per read with the workloads' distinct written
+    values).  Only a violating read pays an O(W) scan, to list its
+    admissible values.  The all-pairs definition this is tested against
+    lives in [test/oracle_spec.ml]. *)
 
 type violation = {
   read : History.op;

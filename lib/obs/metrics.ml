@@ -136,7 +136,14 @@ let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset_counters t = Hashtbl.reset t.counters
+(* Zero in place: refs handed out by [counter_ref] must keep counting
+   into the registry.  The order of the zeroing is irrelevant. *)
+let reset_counters t =
+  Hashtbl.filter_map_inplace
+    (fun _ r ->
+      r := 0;
+      Some r)
+    t.counters
 
 let set_gauge t name v = Hashtbl.replace t.gauges name v
 

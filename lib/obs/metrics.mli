@@ -58,13 +58,15 @@ val counter : t -> string -> int
 (** 0 if never bumped. *)
 
 val counter_ref : t -> string -> int ref
-(** Find-or-create; the returned ref stays valid until
-    {!reset_counters}. *)
+(** Find-or-create.  The returned ref is the counter itself for the
+    registry's whole life: {!reset_counters} zeroes it in place. *)
 
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val reset_counters : t -> unit
+(** Zero every counter.  Names stay registered (listed by {!counters} with
+    value 0) and refs from {!counter_ref} stay attached. *)
 
 val set_gauge : t -> string -> float -> unit
 

@@ -10,6 +10,8 @@ type 'm t = {
   classify : ('m -> Obs.Event.msg_class) option;
   deliver : 'm -> unit;
   dropped : int ref;
+  pkts : int ref;
+  msgs : int ref;
   mutable next_id : int;
   mutable flight : 'm entry list;
 }
@@ -30,6 +32,8 @@ let create ~engine ~rng ~delay ?(loss = 0.0) ?(dup = 0.0) ?classify ~name
     classify;
     deliver;
     dropped = Obs.Metrics.counter_ref (Engine.metrics engine) "net.dropped";
+    pkts = Obs.Metrics.counter_ref (Engine.metrics engine) "net.pkts";
+    msgs = Obs.Metrics.counter_ref (Engine.metrics engine) "net.msgs";
     next_id = 0;
     flight = [];
   }
@@ -77,7 +81,7 @@ let record_drop t payload =
          })
 
 let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
-  Trace.incr (Engine.trace t.engine) "net.pkts";
+  incr t.pkts;
   if (not lossless) && Rng.float t.rng 1.0 < t.loss then record_drop t payload
   else begin
     let entry = { id = t.next_id; payload = Some payload } in
@@ -88,7 +92,7 @@ let rec transmit ?(lossless = false) ?(can_dup = true) t payload =
         match entry.payload with
         | None -> ()
         | Some m ->
-          Trace.incr (Engine.trace t.engine) "net.msgs";
+          incr t.msgs;
           (* Duplication: the packet is delivered once more after another
              (lossless) transit.  A copy never re-duplicates: the medium
              has bounded capacity, so duplicate chains are bounded. *)

@@ -63,6 +63,15 @@ let test_ts_recorded () =
   | [ o ] -> check_true "timestamp kept" (o.History.ts = Some (e, 4, 2))
   | _ -> Alcotest.fail "one op expected"
 
+let test_sort_cached () =
+  let h = History.create () in
+  record h (mk_op History.Write 5 6 1);
+  let first = History.ops h in
+  check_true "second call reuses the sorted list" (first == History.ops h);
+  record h (mk_op History.Read 0 1 1);
+  let invs = List.map (fun (o : History.op) -> Sim.Vtime.to_int o.inv) (History.ops h) in
+  check_true "record invalidates the cache" (List.equal Int.equal invs [ 0; 5 ])
+
 let tests =
   [
     case "record and sort" test_record_and_sort;
@@ -70,4 +79,5 @@ let tests =
     case "overlap semantics" test_overlap_semantics;
     case "failed read flag" test_failed_read_flag;
     case "timestamps recorded" test_ts_recorded;
+    case "sort cached until record" test_sort_cached;
   ]

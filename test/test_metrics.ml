@@ -84,6 +84,21 @@ let test_stabilization_none_cases () =
   check_true "never clean -> None"
     (Metrics.stabilization_read_index ~valid:invalid h = None)
 
+(* Obs.Metrics.reset_counters zeroes in place: a ref resolved before the
+   reset (as Net and Link resolve theirs) keeps feeding the registry. *)
+let test_counter_ref_survives_reset () =
+  let m = Obs.Metrics.create () in
+  let r = Obs.Metrics.counter_ref m "net.msgs" in
+  incr r;
+  Obs.Metrics.reset_counters m;
+  check_int "zeroed" 0 (Obs.Metrics.counter m "net.msgs");
+  incr r;
+  check_int "bump after reset seen" 1 (Obs.Metrics.counter m "net.msgs");
+  Alcotest.(check (list (pair string int)))
+    "still listed" [ ("net.msgs", 1) ] (Obs.Metrics.counters m);
+  Obs.Metrics.incr m "net.msgs";
+  check_int "name and ref share one counter" 2 !r
+
 let tests =
   [
     case "summary basic" test_summary_basic;
@@ -95,4 +110,5 @@ let tests =
     case "read counts" test_read_counts;
     case "stabilization index" test_stabilization_index;
     case "stabilization corner cases" test_stabilization_none_cases;
+    case "counter ref survives reset" test_counter_ref_survives_reset;
   ]
