@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-baseline experiments bench examples clean outputs
+.PHONY: all build test lint lint-baseline experiments examples clean outputs
 
 all: build
 
@@ -25,9 +25,6 @@ lint-baseline:
 experiments:
 	dune exec bin/experiments.exe -- run all
 
-bench:
-	dune exec bench/main.exe
-
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/config_store.exe
@@ -38,7 +35,6 @@ examples:
 # The final artifacts recorded in the repository.
 outputs:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 	dune exec bin/experiments.exe -- run all 2>&1 | tee experiments_output.txt
 
 clean:

@@ -112,12 +112,7 @@ let with_report ~exp ~seed f =
 (* Write a flight-recorder profile to an explicit file path (unlike
    [Obs.Profile.write], which derives the name). *)
 let write_profile path r =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string_pretty (Obs.Profile.to_json r));
-  output_char oc '\n';
-  close_out oc;
+  Artifacts.write_file path (Obs.Json.to_string_pretty (Obs.Profile.to_json r));
   Printf.printf "profile written to %s (%s)\n" path Obs.Profile.schema_version
 
 let scenario ?(seed = 1) ?delay ?medium ~params () =

@@ -9,21 +9,6 @@
 
 open Chaos
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let artifact_path ~out ~family ~index ~trial_seed =
   Filename.concat out
     (Printf.sprintf "%s-trial%d-seed%d.json"
@@ -77,7 +62,7 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
             artifact_path ~out ~family ~index:t.index
               ~trial_seed:t.trial_seed
           in
-          write_file path
+          Artifacts.write_file path
             (Obs.Json.to_string_pretty (Campaign.repro_to_json repro));
           Printf.printf
             "trial %d: %s -> shrunk to %d event(s) in %d run(s), repro: %s\n"
@@ -111,37 +96,34 @@ let run ~family ~medium ~byz ~strategy ~seed ~trials ~domains ~race_check
 (* Replay a repro artifact; Ok when the replay reproduces the recorded
    verdict exactly. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Campaign.repro_of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok repro ->
-      let on_scenario scn =
-        Common.attach_trace_sink (Harness.Scenario.hub scn);
-        Common.observe_scn scn
-      in
-      let outcome = Campaign.replay ~on_scenario repro in
-      Format.printf "recorded verdict: %a@." Campaign.pp_verdict
-        repro.Campaign.verdict;
-      Format.printf "replayed verdict: %a@." Campaign.pp_verdict
-        outcome.Campaign.verdict;
-      Printf.printf "schedule: %d event(s), %d ops, %d ticks\n"
-        (List.length repro.Campaign.schedule)
-        outcome.Campaign.ops outcome.Campaign.duration;
-      Common.add_extra "chaos_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ( "recorded",
-               Obs.Json.Str (Campaign.verdict_kind repro.Campaign.verdict) );
-             ( "replayed",
-               Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
-           ]);
-      (* The whole verdict — kind, count and detail — must reproduce, so
-         the claim covers every field the artifact records. *)
-      if repro.Campaign.verdict = outcome.Campaign.verdict then begin
-        Printf.printf "replay reproduced the recorded verdict\n";
-        Ok ()
-      end
-      else Error "replay did NOT reproduce the recorded verdict")
+  match Artifacts.read path Campaign.repro_of_json with
+  | Error e -> Error e
+  | Ok repro ->
+    let on_scenario scn =
+      Common.attach_trace_sink (Harness.Scenario.hub scn);
+      Common.observe_scn scn
+    in
+    let outcome = Campaign.replay ~on_scenario repro in
+    Format.printf "recorded verdict: %a@." Campaign.pp_verdict
+      repro.Campaign.verdict;
+    Format.printf "replayed verdict: %a@." Campaign.pp_verdict
+      outcome.Campaign.verdict;
+    Printf.printf "schedule: %d event(s), %d ops, %d ticks\n"
+      (List.length repro.Campaign.schedule)
+      outcome.Campaign.ops outcome.Campaign.duration;
+    Common.add_extra "chaos_replay"
+      (Obs.Json.Obj
+         [
+           ("artifact", Obs.Json.Str path);
+           ( "recorded",
+             Obs.Json.Str (Campaign.verdict_kind repro.Campaign.verdict) );
+           ( "replayed",
+             Obs.Json.Str (Campaign.verdict_kind outcome.Campaign.verdict) );
+         ]);
+    (* The whole verdict — kind, count and detail — must reproduce, so
+       the claim covers every field the artifact records. *)
+    if repro.Campaign.verdict = outcome.Campaign.verdict then begin
+      Printf.printf "replay reproduced the recorded verdict\n";
+      Ok ()
+    end
+    else Error "replay did NOT reproduce the recorded verdict"

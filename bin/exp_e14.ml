@@ -44,8 +44,8 @@ let measure ~seed ~n =
          scn.Harness.Scenario.history)
   in
   ( f,
-    wr.Harness.Metrics.mean,
-    rd.Harness.Metrics.mean,
+    wr.Obs.Report.mean,
+    rd.Obs.Report.mean,
     float_of_int (Harness.Scenario.messages_sent scn) /. float_of_int (2 * ops)
   )
 

@@ -9,21 +9,6 @@
 
 open Mc
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let stats_to_json (s : Checker.stats) =
   Obs.Json.Obj
     [
@@ -67,12 +52,13 @@ let emit_cex ~out cfg (result : Checker.run) =
   | None -> None
   | Some cex ->
     let path = artifact_path ~out cfg cex.Checker.verdict in
-    write_file path (Obs.Json.to_string_pretty (Checker.cex_to_json cex));
+    Artifacts.write_file path
+      (Obs.Json.to_string_pretty (Checker.cex_to_json cex));
     Printf.printf "counterexample: %d move(s) after %d shrink run(s) -> %s\n"
       (List.length cex.Checker.trace)
       result.shrink_runs path;
     (match Checker.replay cex with
-    | Ok _ -> Printf.printf "artifact replays bit-for-bit\n"
+    | Ok _ -> Printf.printf "artifact replays: trace, verdict and digest\n"
     | Error e -> Printf.printf "REPLAY FAILED: %s\n" e);
     Some (path, cex)
 
@@ -196,73 +182,71 @@ let run ~cfg ~budgets ~reduction ~use_visited ~seed ~target ~cross_check
    violation is shrunk into the same replayable artifact the search
    produces. *)
 let guide ~expect ~out path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Checker.guide_of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok (cfg, schedule) -> (
-      Printf.printf "guide: %s (%d scheduled move(s))\n" path
-        (List.length schedule);
-      let result = Checker.guided ~log:print_endline cfg schedule in
-      describe_outcome "guided" result.outcome;
-      let artifact = emit_cex ~out cfg result in
-      Common.add_extra "mc_guide"
-        (Obs.Json.Obj
-           ([
-              ("schedule", Obs.Json.Str path);
-              ("config", Config.to_json cfg);
-              ( "verdict",
-                Obs.Json.Str (Checker.verdict_kind result.outcome.verdict)
-              );
-            ]
-           @
-           match artifact with
-           | Some (p, _) -> [ ("artifact", Obs.Json.Str p) ]
-           | None -> []));
-      match (expect, result.outcome.verdict) with
-      | None, _ -> Ok ()
-      | Some `Clean, Checker.Clean -> Ok ()
-      | Some `Clean, v ->
-        Error (Format.asprintf "expected clean, found %a" Checker.pp_verdict v)
-      | Some `Violation, Checker.Violation _ -> (
-        match artifact with
-        | Some (_, cex) -> (
-          match Checker.replay cex with
-          | Ok _ -> Ok ()
-          | Error e -> Error ("violation artifact failed to replay: " ^ e))
-        | None -> Error "violation found but no artifact was produced")
-      | Some `Violation, Checker.Clean ->
-        Error "expected a violation, guided run came back clean"))
+  match Artifacts.read path Checker.guide_of_json with
+  | Error e -> Error e
+  | Ok (cfg, schedule) -> (
+    Printf.printf "guide: %s (%d scheduled move(s))\n" path
+      (List.length schedule);
+    let result = Checker.guided ~log:print_endline cfg schedule in
+    describe_outcome "guided" result.outcome;
+    let artifact = emit_cex ~out cfg result in
+    Common.add_extra "mc_guide"
+      (Obs.Json.Obj
+         ([
+            ("schedule", Obs.Json.Str path);
+            ("config", Config.to_json cfg);
+            ( "verdict",
+              Obs.Json.Str (Checker.verdict_kind result.outcome.verdict)
+            );
+          ]
+         @
+         match artifact with
+         | Some (p, _) -> [ ("artifact", Obs.Json.Str p) ]
+         | None -> []));
+    match (expect, result.outcome.verdict) with
+    | None, _ -> Ok ()
+    | Some `Clean, Checker.Clean -> Ok ()
+    | Some `Clean, v ->
+      Error (Format.asprintf "expected clean, found %a" Checker.pp_verdict v)
+    | Some `Violation, Checker.Violation _ -> (
+      match artifact with
+      | Some (_, cex) -> (
+        match Checker.replay cex with
+        | Ok _ -> Ok ()
+        | Error e -> Error ("violation artifact failed to replay: " ^ e))
+      | None -> Error "violation found but no artifact was produced")
+    | Some `Violation, Checker.Clean ->
+      Error "expected a violation, guided run came back clean")
 
-(* Replay a counterexample artifact; Ok when it reproduces bit-for-bit. *)
+(* Replay a counterexample artifact; Ok when every move fires and the
+   verdict and terminal digest match.  The recorded [states] count depends
+   on search options the artifact does not record, so it is not checked. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Checker.cex_of_json j with
+  match Artifacts.read path Checker.cex_of_json with
+  | Error e -> Error e
+  | Ok cex ->
+    Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
+      Checker.pp_verdict cex.Checker.verdict
+      (List.length cex.Checker.trace)
+      cex.Checker.digest;
+    let outcome = Checker.replay cex in
+    Common.add_extra "mc_replay"
+      (Obs.Json.Obj
+         [
+           ("artifact", Obs.Json.Str path);
+           ( "recorded",
+             Obs.Json.Str (Checker.verdict_kind cex.Checker.verdict) );
+           ( "replayed",
+             Obs.Json.Str
+               (match outcome with
+               | Ok v -> Checker.verdict_kind v
+               | Error _ -> "error") );
+         ]);
+    match outcome with
+    | Ok v ->
+      Format.printf "replayed verdict: %a@." Checker.pp_verdict v;
+      Printf.printf
+        "replay reproduced the trace, verdict and digest (states is \
+         informational)\n";
+      Ok ()
     | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok cex ->
-      Format.printf "recorded verdict: %a (%d move(s), digest %s)@."
-        Checker.pp_verdict cex.Checker.verdict
-        (List.length cex.Checker.trace)
-        cex.Checker.digest;
-      let outcome = Checker.replay cex in
-      Common.add_extra "mc_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ( "recorded",
-               Obs.Json.Str (Checker.verdict_kind cex.Checker.verdict) );
-             ( "replayed",
-               Obs.Json.Str
-                 (match outcome with
-                 | Ok v -> Checker.verdict_kind v
-                 | Error _ -> "error") );
-           ]);
-      (match outcome with
-      | Ok v ->
-        Format.printf "replayed verdict: %a@." Checker.pp_verdict v;
-        Printf.printf "replay reproduced the artifact bit-for-bit\n";
-        Ok ()
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)))

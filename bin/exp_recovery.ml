@@ -8,27 +8,8 @@
 
 open Chaos
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let parent = Filename.dirname path in
-  if parent <> "" && parent <> "." then Obs.Report.mkdir_p parent;
-  let oc = open_out path in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc
-
 let artifact_path ~out ~n ~seed =
   Filename.concat out (Printf.sprintf "recovery-n%d-seed%d.json" n seed)
-
-let pp_tally fmt (t : Recovery.tally) =
-  Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.Recovery.ok
-    t.Recovery.degraded t.Recovery.timed_out
 
 let print_report (r : Recovery.report) =
   let cfg = r.Recovery.config in
@@ -39,8 +20,9 @@ let print_report (r : Recovery.report) =
   List.iter
     (fun b -> Format.printf "  %a@." Recovery.pp_burst b)
     r.Recovery.bursts;
-  Format.printf "  writes: %a@." pp_tally r.Recovery.write_ops;
-  Format.printf "  reads:  %a@." pp_tally r.Recovery.read_ops;
+  Format.printf "  writes: %a@." Registers.Outcome.pp_tally
+    r.Recovery.write_ops;
+  Format.printf "  reads:  %a@." Registers.Outcome.pp_tally r.Recovery.read_ops;
   (match r.Recovery.stuck with
   | [] -> ()
   | stuck ->
@@ -97,7 +79,8 @@ let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
         let r = Recovery.run ~on_scenario cfg ~seed in
         print_report r;
         let path = artifact_path ~out ~n ~seed in
-        write_file path (Obs.Json.to_string_pretty (Recovery.to_json r));
+        Artifacts.write_file path
+          (Obs.Json.to_string_pretty (Recovery.to_json r));
         Printf.printf "  artifact: %s\n\n" path;
         (n, r, path))
       ns
@@ -123,31 +106,28 @@ let run ~ns ~bursts ~crashed ~down_for ~retry ~seed ~out () =
 (* Replay a committed stabreg/recovery/v1 artifact; Ok only when the
    re-execution reproduces the recorded report bit-for-bit. *)
 let replay path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok j -> (
-    match Recovery.of_json j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok recorded ->
-      let on_scenario scn =
-        Common.attach_trace_sink (Harness.Scenario.hub scn);
-        Common.observe_scn scn
-      in
-      let replayed = Recovery.replay ~on_scenario recorded in
-      Printf.printf "recorded:\n";
-      print_report recorded;
-      Printf.printf "replayed:\n";
-      print_report replayed;
-      let same = Recovery.matches recorded replayed in
-      Common.add_extra "recovery_replay"
-        (Obs.Json.Obj
-           [
-             ("artifact", Obs.Json.Str path);
-             ("identical", Obs.Json.Bool same);
-             ("converged", Obs.Json.Bool replayed.Recovery.converged);
-           ]);
-      if same then begin
-        Printf.printf "replay reproduced the recorded report bit-for-bit\n";
-        Ok ()
-      end
-      else Error "replay did NOT reproduce the recorded report")
+  match Artifacts.read path Recovery.of_json with
+  | Error e -> Error e
+  | Ok recorded ->
+    let on_scenario scn =
+      Common.attach_trace_sink (Harness.Scenario.hub scn);
+      Common.observe_scn scn
+    in
+    let replayed = Recovery.replay ~on_scenario recorded in
+    Printf.printf "recorded:\n";
+    print_report recorded;
+    Printf.printf "replayed:\n";
+    print_report replayed;
+    let same = Recovery.matches recorded replayed in
+    Common.add_extra "recovery_replay"
+      (Obs.Json.Obj
+         [
+           ("artifact", Obs.Json.Str path);
+           ("identical", Obs.Json.Bool same);
+           ("converged", Obs.Json.Bool replayed.Recovery.converged);
+         ]);
+    if same then begin
+      Printf.printf "replay reproduced the recorded report bit-for-bit\n";
+      Ok ()
+    end
+    else Error "replay did NOT reproduce the recorded report"

@@ -84,82 +84,10 @@ let run_cmd =
     Term.(ret (const run $ ids_arg $ seed_arg $ json_arg $ trace_out_arg))
 
 let validate_cmd =
-  let read_file path =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (* Dispatch on the artifact's own schema tag: whole-file JSON documents
-     carry a "schema" (or "traceEvents") field, trace files are JSONL
-     whose header line names stabreg/trace/v1. *)
+  (* Dispatch on the artifact's own schema tag through the one table in
+     [Artifacts]. *)
   let validate_one path =
-    let contents = read_file path in
-    match Obs.Json.parse contents with
-    | Error _ ->
-      (* Not a single JSON document: try the JSONL trace schema. *)
-      Result.map
-        (fun () -> Obs.Tracefile.schema_version)
-        (Obs.Tracefile.validate contents)
-    | Ok j -> (
-      match Obs.Json.member "schema" j with
-      | Some s when Obs.Json.to_string_opt s = Some Obs.Report.schema_version
-        ->
-        Result.map (fun () -> Obs.Report.schema_version) (Obs.Report.validate j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Obs.Profile.schema_version ->
-        Result.map
-          (fun () -> Obs.Profile.schema_version)
-          (Obs.Profile.validate j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Obs.Tracefile.schema_version ->
-        (* A one-line trace (header only) parses as a single document. *)
-        Result.map
-          (fun () -> Obs.Tracefile.schema_version)
-          (Obs.Tracefile.validate contents)
-      | Some s when Obs.Json.to_string_opt s = Some Mc.Checker.cex_schema ->
-        Result.map
-          (fun (_ : Mc.Checker.cex) -> Mc.Checker.cex_schema)
-          (Mc.Checker.cex_of_json j)
-      | Some s
-        when Obs.Json.to_string_opt s = Some Chaos.Campaign.repro_schema ->
-        Result.map
-          (fun (_ : Chaos.Campaign.repro) -> Chaos.Campaign.repro_schema)
-          (Chaos.Campaign.repro_of_json j)
-      | Some s when Obs.Json.to_string_opt s = Some Chaos.Recovery.schema ->
-        Result.map
-          (fun (_ : Chaos.Recovery.report) -> Chaos.Recovery.schema)
-          (Chaos.Recovery.of_json j)
-      | Some s when Obs.Json.to_string_opt s = Some Shard.Tier.schema ->
-        Result.map
-          (fun (_ : Shard.Tier.report) -> Shard.Tier.schema)
-          (Shard.Tier.of_json j)
-      | Some s
-        when List.exists
-               (fun v -> Obs.Json.to_string_opt s = Some v)
-               [
-                 Lint.Report.schema_version;
-                 Lint.Report.baseline_schema_version;
-                 Lint.Report.domains_schema_version;
-               ] ->
-        Result.map
-          (fun () ->
-            match Obs.Json.to_string_opt s with
-            | Some str -> str
-            | None -> "lint")
-          (Lint.Report.validate_any j)
-      | Some s ->
-        Error
-          (Printf.sprintf "unknown schema %s"
-             (match Obs.Json.to_string_opt s with
-             | Some str -> Printf.sprintf "%S" str
-             | None -> "(not a string)"))
-      | None -> (
-        match Obs.Json.member "traceEvents" j with
-        | Some _ ->
-          Result.map (fun () -> "chrome-trace") (Obs.Chrome_trace.validate j)
-        | None -> Error "no schema field and no traceEvents"))
+    Exp_drivers.Artifacts.validate (Exp_drivers.Artifacts.read_file path)
   in
   let validate files =
     let problems =
@@ -181,8 +109,9 @@ let validate_cmd =
   let files_arg =
     let doc =
       "Artifact files to check: run reports, JSONL traces, mc profiles, \
-       Chrome-trace exports, mc counterexamples, chaos repros, recovery \
-       or shard reports, lint reports/baselines and lint-domains \
+       Chrome-trace exports, mc counterexamples and guides, chaos \
+       repros, recovery or shard reports, lint reports/baselines and \
+       lint-domains \
        inventories — the schema is sniffed from the file itself."
     in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)

@@ -53,15 +53,11 @@ let schedule cfg =
                })))
   |> Schedule.sort
 
-type tally = { ok : int; degraded : int; timed_out : int }
-
-let zero_tally = { ok = 0; degraded = 0; timed_out = 0 }
-
-let tally_outcome t (o : _ Registers.Outcome.t) =
-  match o with
-  | Registers.Outcome.Ok _ -> { t with ok = t.ok + 1 }
-  | Registers.Outcome.Degraded _ -> { t with degraded = t.degraded + 1 }
-  | Registers.Outcome.Timed_out _ -> { t with timed_out = t.timed_out + 1 }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 
 type burst_report = {
   burst : int;
@@ -121,7 +117,8 @@ let run ?on_scenario cfg ~seed =
   Harness.Scenario.register_port scn (Registers.Swsr_regular.reader_port r);
   let metrics = Harness.Scenario.metrics scn in
   let h = scn.Harness.Scenario.history in
-  let write_ops = ref zero_tally and read_ops = ref zero_tally in
+  let write_ops = ref Registers.Outcome.zero_tally
+  and read_ops = ref Registers.Outcome.zero_tally in
   let g = Harness.Workload.gap 0 cfg.gap_hi in
   let writer_job () =
     let rng = Harness.Scenario.split_rng scn in
@@ -134,7 +131,7 @@ let run ?on_scenario cfg ~seed =
          oracle must treat it as a write that may be read. *)
       Oracles.History.record h ~proc:"writer" ~kind:Oracles.History.Write ~inv
         ~resp v;
-      write_ops := tally_outcome !write_ops o;
+      write_ops := Registers.Outcome.bump_tally !write_ops o;
       Obs.Metrics.incr metrics ("recovery.write." ^ Registers.Outcome.kind o);
       if g.Harness.Workload.hi > 0 then
         Harness.Scenario.sleep scn
@@ -156,7 +153,7 @@ let run ?on_scenario cfg ~seed =
       | Registers.Outcome.Degraded _ | Registers.Outcome.Timed_out _ ->
         Oracles.History.record h ~proc:"reader" ~kind:Oracles.History.Read
           ~inv ~resp ~ok:false Registers.Value.bot);
-      read_ops := tally_outcome !read_ops o;
+      read_ops := Registers.Outcome.bump_tally !read_ops o;
       Obs.Metrics.incr metrics ("recovery.read." ^ Registers.Outcome.kind o);
       if g.Harness.Workload.hi > 0 then
         Harness.Scenario.sleep scn
@@ -224,14 +221,6 @@ let config_to_json c =
       ("retry", Obs.Json.Bool c.retry);
     ]
 
-let tally_to_json t =
-  Obs.Json.Obj
-    [
-      ("ok", Obs.Json.Int t.ok);
-      ("degraded", Obs.Json.Int t.degraded);
-      ("timed_out", Obs.Json.Int t.timed_out);
-    ]
-
 let burst_to_json b =
   Obs.Json.Obj
     [
@@ -252,34 +241,14 @@ let to_json r =
       ("config", config_to_json r.config);
       ("schedule", Schedule.to_json (schedule r.config));
       ("bursts", Obs.Json.List (List.map burst_to_json r.bursts));
-      ("write_ops", tally_to_json r.write_ops);
-      ("read_ops", tally_to_json r.read_ops);
+      ("write_ops", Registers.Outcome.tally_to_json r.write_ops);
+      ("read_ops", Registers.Outcome.tally_to_json r.read_ops);
       ("duration", Obs.Json.Int r.duration);
       ("stuck", Obs.Json.List (List.map (fun s -> Obs.Json.Str s) r.stuck));
       ("converged", Obs.Json.Bool r.converged);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let bool_field ctx key j =
-  let* v = field ctx key j in
-  match v with
-  | Obs.Json.Bool b -> Ok b
-  | _ -> Error (ctx ^ "." ^ key ^ ": expected a boolean")
+open Obs.Json.Decode
 
 let config_of_json j =
   let ctx = "config" in
@@ -311,86 +280,46 @@ let config_of_json j =
       retry;
     }
 
-let tally_of_json ctx j =
-  let* ok = int_field ctx "ok" j in
-  let* degraded = int_field ctx "degraded" j in
-  let* timed_out = int_field ctx "timed_out" j in
-  Ok { ok; degraded; timed_out }
-
 let burst_of_json j =
   let ctx = "burst" in
   let* burst = int_field ctx "burst" j in
   let* crash_at = int_field ctx "crash_at" j in
   let* recovery_at = int_field ctx "recovery_at" j in
-  let* stab_time =
-    match Obs.Json.member "stab_time" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some v ->
-      let* s = as_int "burst.stab_time" v in
-      Ok (Some s)
-  in
+  let* stab_time = opt_field ctx "stab_time" as_int j in
   Ok { burst; crash_at; recovery_at; stab_time }
-
-let list_field ctx key of_item j =
-  let* v = field ctx key j in
-  match Obs.Json.to_list_opt v with
-  | None -> Error (ctx ^ "." ^ key ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* x = of_item item in
-        Ok (x :: acc))
-      (Ok []) items
-    |> Result.map List.rev
 
 let of_json j =
   let ctx = "recovery" in
-  let* s = field ctx "schema" j in
-  let* s =
-    match Obs.Json.to_string_opt s with
-    | Some s -> Ok s
-    | None -> Error "recovery.schema: expected a string"
+  let* _ = check_schema ctx [ schema ] j in
+  let* seed = int_field ctx "seed" j in
+  let* config = field ctx "config" j in
+  let* config = config_of_json config in
+  (* The schedule is derived from the config, so a recorded one that
+     parses but differs (an event dropped, a slot edited) is a
+     tampered artifact, not a different run. *)
+  let* recorded = field ctx "schedule" j in
+  let* _ =
+    Result.map_error (fun e -> "recovery.schedule: " ^ e)
+      (Schedule.of_json recorded)
   in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "unsupported recovery schema %S (want %S)" s schema)
-  else
-    let* seed = int_field ctx "seed" j in
-    let* config = field ctx "config" j in
-    let* config = config_of_json config in
-    (* The schedule is derived from the config, so a recorded one that
-       parses but differs (an event dropped, a slot edited) is a
-       tampered artifact, not a different run. *)
-    let* recorded = field ctx "schedule" j in
-    let* _ =
-      Result.map_error (fun e -> "recovery.schedule: " ^ e)
-        (Schedule.of_json recorded)
-    in
-    let* () =
-      if Obs.Json.equal recorded (Schedule.to_json (schedule config)) then
-        Ok ()
-      else
-        Error
-          "recovery.schedule: differs from the crash schedule the config \
-           denotes"
-    in
-    let* bursts = list_field ctx "bursts" burst_of_json j in
-    let* write_ops = field ctx "write_ops" j in
-    let* write_ops = tally_of_json (ctx ^ ".write_ops") write_ops in
-    let* read_ops = field ctx "read_ops" j in
-    let* read_ops = tally_of_json (ctx ^ ".read_ops") read_ops in
-    let* duration = int_field ctx "duration" j in
-    let* stuck =
-      list_field ctx "stuck"
-        (fun item ->
-          match Obs.Json.to_string_opt item with
-          | Some s -> Ok s
-          | None -> Error "recovery.stuck: expected strings")
-        j
-    in
-    let* converged = bool_field ctx "converged" j in
-    Ok
-      { seed; config; bursts; write_ops; read_ops; duration; stuck; converged }
+  let* () =
+    if Obs.Json.equal recorded (Schedule.to_json (schedule config)) then Ok ()
+    else
+      Error
+        "recovery.schedule: differs from the crash schedule the config \
+         denotes"
+  in
+  let* bursts = list_field ctx "bursts" burst_of_json j in
+  let* write_ops =
+    req_field ctx "write_ops" Registers.Outcome.tally_of_json j
+  in
+  let* read_ops =
+    req_field ctx "read_ops" Registers.Outcome.tally_of_json j
+  in
+  let* duration = int_field ctx "duration" j in
+  let* stuck = list_field ctx "stuck" (as_string "recovery.stuck") j in
+  let* converged = bool_field ctx "converged" j in
+  Ok { seed; config; bursts; write_ops; read_ops; duration; stuck; converged }
 
 let replay ?on_scenario r = run ?on_scenario r.config ~seed:r.seed
 

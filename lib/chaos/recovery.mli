@@ -37,7 +37,11 @@ val schedule : config -> Schedule.t
 (** The fully concrete crash events the config denotes (all
     crash-recovery, rotating slots). *)
 
-type tally = { ok : int; degraded : int; timed_out : int }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 (** Typed-outcome counts for one operation kind. *)
 
 type burst_report = {

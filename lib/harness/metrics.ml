@@ -1,14 +1,4 @@
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-}
+type summary = Obs.Report.op_summary
 
 let percentile sorted p =
   if p <= 0.0 then sorted.(0)
@@ -24,7 +14,7 @@ let summary xs =
   let n = Array.length arr in
   let total = Array.fold_left ( +. ) 0.0 arr in
   {
-    count = n;
+    Obs.Report.count = n;
     mean = total /. float_of_int n;
     min = arr.(0);
     p50 = percentile arr 0.5;
@@ -71,7 +61,7 @@ let stabilization_read_index ~valid h =
     | Some i when i + 1 < n -> Some (i + 1)
     | Some _ -> None
 
-let pp_summary ppf s =
+let pp_summary ppf (s : summary) =
   Format.fprintf ppf
     "n=%d mean=%.1f min=%.1f p50=%.1f p90=%.1f p95=%.1f p99=%.1f p999=%.1f \
      max=%.1f"

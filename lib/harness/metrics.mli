@@ -1,17 +1,7 @@
 (** Aggregate statistics over histories and traces, for the experiment
     tables and benchmarks. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p95 : float;
-  p99 : float;
-  p999 : float;
-  max : float;
-}
+type summary = Obs.Report.op_summary
 
 val summary : float list -> summary
 (** Raises [Invalid_argument] on an empty list. *)

@@ -660,23 +660,7 @@ let cex_to_json c =
       ("digest", Obs.Json.Str c.digest);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let str_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_string_opt v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "%s.%s: expected a string" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let int_field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> (
-    match Obs.Json.to_int_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "%s.%s: expected an integer" ctx key))
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
+open Obs.Json.Decode
 
 let index_field ctx key j =
   let* i = int_field ctx key j in
@@ -707,41 +691,17 @@ let verdict_of_json j =
     let* detail = str_field "verdict" "detail" j in
     Ok (Violation { kind; count; detail })
 
-let trace_of_json ctx j =
-  match Obs.Json.member "trace" j with
-  | Some t -> (
-    match Obs.Json.to_list_opt t with
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* mv = move_of_json item in
-          Ok (mv :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | None -> Error (ctx ^ ".trace: expected a list"))
-  | None -> Error (ctx ^ ": missing field \"trace\"")
-
 let cex_of_json j =
-  let* schema = str_field "cex" "schema" j in
-  if not (String.equal schema cex_schema) then
-    Error
-      (Printf.sprintf "unsupported cex schema %S (want %S)" schema cex_schema)
-  else
-    let* config =
-      match Obs.Json.member "config" j with
-      | Some c -> Config.of_json c
-      | None -> Error "cex: missing field \"config\""
-    in
-    let* trace = trace_of_json "cex" j in
-    let* verdict =
-      match Obs.Json.member "verdict" j with
-      | Some v -> verdict_of_json v
-      | None -> Error "cex: missing field \"verdict\""
-    in
-    let* states = int_field "cex" "states" j in
-    let* digest = str_field "cex" "digest" j in
-    Ok { config; trace; verdict; states; digest }
+  let ctx = "cex" in
+  let* _ = check_schema ctx [ cex_schema ] j in
+  let* config = field ctx "config" j in
+  let* config = Config.of_json config in
+  let* trace = list_field ctx "trace" move_of_json j in
+  let* verdict = field ctx "verdict" j in
+  let* verdict = verdict_of_json verdict in
+  let* states = int_field ctx "states" j in
+  let* digest = str_field ctx "digest" j in
+  Ok { config; trace; verdict; states; digest }
 
 let guide_schema = "stabreg/mc-guide/v1"
 
@@ -749,26 +709,16 @@ let guide_schema = "stabreg/mc-guide/v1"
    schedule of moves to force.  A full cex artifact is accepted too (its
    recorded outcome is ignored — the schedule is re-judged from scratch). *)
 let guide_of_json j =
-  let* schema = str_field "guide" "schema" j in
-  if
-    not
-      (String.equal schema guide_schema || String.equal schema cex_schema)
-  then
-    Error
-      (Printf.sprintf "unsupported guide schema %S (want %S or %S)" schema
-         guide_schema cex_schema)
-  else
-    let* config =
-      match Obs.Json.member "config" j with
-      | Some c -> Config.of_json c
-      | None -> Error "guide: missing field \"config\""
-    in
-    let* trace = trace_of_json "guide" j in
-    Ok (config, trace)
+  let ctx = "guide" in
+  let* _ = check_schema ctx [ guide_schema; cex_schema ] j in
+  let* config = field ctx "config" j in
+  let* config = Config.of_json config in
+  let* trace = list_field ctx "trace" move_of_json j in
+  Ok (config, trace)
 
-(* Strict bit-for-bit replay: every recorded move must fire, the terminal
-   verdict must be structurally equal, and the terminal fingerprint must
-   match the recorded digest. *)
+(* Strict replay: every recorded move must fire, the terminal verdict must
+   be structurally equal, and the terminal fingerprint must match the
+   recorded digest.  The informational [states] count is not checked. *)
 let replay (c : cex) =
   let sys = Sys.create c.config in
   match

@@ -134,7 +134,10 @@ type cex = {
   config : Config.t;
   trace : Sys.move list;  (** complete, strict-replayable *)
   verdict : verdict;
-  states : int;  (** states expanded when the violation was found *)
+  states : int;
+      (** states expanded when the violation was found; informational — it
+          depends on search options the artifact does not record, so
+          {!replay} does not check it *)
   digest : string;  (** terminal-state fingerprint *)
 }
 
@@ -143,9 +146,10 @@ val cex_to_json : cex -> Obs.Json.t
 val cex_of_json : Obs.Json.t -> (cex, string) result
 
 val replay : cex -> (verdict, string) result
-(** Strict bit-for-bit replay: every recorded move must fire, the
-    terminal verdict must be structurally equal to the recorded one, and
-    the terminal fingerprint must match the recorded digest. *)
+(** Strict replay: every recorded move must fire, the terminal verdict
+    must be structurally equal to the recorded one, and the terminal
+    fingerprint must match the recorded digest.  [states] is not
+    checked. *)
 
 (** {2 Guided witness schedules} *)
 

@@ -239,7 +239,7 @@ let parse_exn s =
         Obj []
       end
       else begin
-        let field () =
+        let member () =
           skip_ws ();
           let k = parse_string () in
           skip_ws ();
@@ -247,13 +247,13 @@ let parse_exn s =
           let v = parse_value () in
           (k, v)
         in
-        let fields = ref [ field () ] in
+        let fields = ref [ member () ] in
         let rec go () =
           skip_ws ();
           match peek () with
           | Some ',' ->
             advance ();
-            fields := field () :: !fields;
+            fields := member () :: !fields;
             go ()
           | Some '}' -> advance ()
           | _ -> fail "expected ',' or '}'"
@@ -291,8 +291,6 @@ let to_string_opt = function Str s -> Some s | _ -> None
 
 let to_list_opt = function List l -> Some l | _ -> None
 
-let to_obj_opt = function Obj fields -> Some fields | _ -> None
-
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true
@@ -306,3 +304,78 @@ let rec equal a b =
   | (Null | Bool _ | Int _ | Float _ | Str _ | List _ | Obj _), _ -> false
 
 let pp ppf j = Format.pp_print_string ppf (to_string j)
+
+(* --- decoding --- *)
+
+module Decode = struct
+  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+  let field ctx key j =
+    match member key j with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
+
+  let as_int ctx = function
+    | Int i -> Ok i
+    | _ -> Error (ctx ^ ": expected an integer")
+
+  let as_float ctx j =
+    match to_float_opt j with
+    | Some x -> Ok x
+    | None -> Error (ctx ^ ": expected a number")
+
+  let as_string ctx = function
+    | Str s -> Ok s
+    | _ -> Error (ctx ^ ": expected a string")
+
+  let as_bool ctx = function
+    | Bool b -> Ok b
+    | _ -> Error (ctx ^ ": expected a boolean")
+
+  let as_obj ctx = function
+    | Obj fields -> Ok fields
+    | _ -> Error (ctx ^ ": expected an object")
+
+  let as_list ctx of_item = function
+    | List items ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | item :: rest ->
+          let* x = of_item item in
+          go (x :: acc) rest
+      in
+      go [] items
+    | _ -> Error (ctx ^ ": expected a list")
+
+  let req_field ctx key as_x j =
+    let* v = field ctx key j in
+    as_x (ctx ^ "." ^ key) v
+
+  let int_field ctx key j = req_field ctx key as_int j
+
+  let float_field ctx key j = req_field ctx key as_float j
+
+  let str_field ctx key j = req_field ctx key as_string j
+
+  let bool_field ctx key j = req_field ctx key as_bool j
+
+  let obj_field ctx key j = req_field ctx key as_obj j
+
+  let list_field ctx key of_item j =
+    req_field ctx key (fun ctx -> as_list ctx of_item) j
+
+  let opt_field ctx key as_x j =
+    match member key j with
+    | None | Some Null -> Ok None
+    | Some v ->
+      let* x = as_x (ctx ^ "." ^ key) v in
+      Ok (Some x)
+
+  let check_schema ctx want j =
+    let* s = str_field ctx "schema" j in
+    if List.exists (String.equal s) want then Ok s
+    else
+      Error
+        (Printf.sprintf "%s: unsupported schema %S (want %s)" ctx s
+           (String.concat " or " (List.map (Printf.sprintf "%S") want)))
+end

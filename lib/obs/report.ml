@@ -117,114 +117,57 @@ let to_json t =
 
 (* --- schema validation --- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_float ctx j =
-  match Json.to_float_opt j with
-  | Some x -> Ok x
-  | None -> Error (ctx ^ ": expected a number")
-
-let as_string ctx j =
-  match Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let as_obj ctx j =
-  match Json.to_obj_opt j with
-  | Some fields -> Ok fields
-  | None -> Error (ctx ^ ": expected an object")
+open Json.Decode
 
 let validate_op_summary ctx j =
   let* _ = as_obj ctx j in
-  let* count = field ctx "count" j in
-  let* _ = as_int (ctx ^ ".count") count in
-  let check_stat acc key =
-    let* () = acc in
-    let* v = field ctx key j in
-    let* _ = as_float (ctx ^ "." ^ key) v in
-    Ok ()
-  in
-  List.fold_left check_stat (Ok ())
+  let* _ = int_field ctx "count" j in
+  List.fold_left
+    (fun acc key ->
+      let* () = acc in
+      let* _ = float_field ctx key j in
+      Ok ())
+    (Ok ())
     [ "mean"; "min"; "p50"; "p90"; "p95"; "p99"; "p999"; "max" ]
 
 let validate_msg_stats ctx j =
   let* _ = as_obj ctx j in
-  let check acc key =
-    let* () = acc in
-    let* v = field ctx key j in
-    let* _ = as_int (ctx ^ "." ^ key) v in
-    Ok ()
-  in
-  List.fold_left check (Ok ()) [ "sent"; "recv"; "bytes" ]
+  List.fold_left
+    (fun acc key ->
+      let* () = acc in
+      let* _ = int_field ctx key j in
+      Ok ())
+    (Ok ()) [ "sent"; "recv"; "bytes" ]
+
+(* Validate every member of an object-valued field with [f]. *)
+let each_member ctx key f j =
+  let* members = obj_field ctx key j in
+  List.fold_left
+    (fun acc (name, v) ->
+      let* () = acc in
+      f (key ^ "." ^ name) v)
+    (Ok ()) members
 
 let validate j =
-  let* _ = as_obj "report" j in
-  let* schema = field "report" "schema" j in
-  let* schema = as_string "schema" schema in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "schema mismatch: got %S, want %S" schema
-           schema_version)
-  in
-  let* experiment = field "report" "experiment" j in
-  let* _ = as_string "experiment" experiment in
-  let* seed = field "report" "seed" j in
-  let* _ = as_int "seed" seed in
-  let* params = field "report" "params" j in
+  let ctx = "report" in
+  let* _ = as_obj ctx j in
+  let* _ = check_schema ctx [ schema_version ] j in
+  let* _ = str_field ctx "experiment" j in
+  let* _ = int_field ctx "seed" j in
+  let* params = field ctx "params" j in
   let* _ = as_obj "params" params in
-  let* n = field "params" "n" params in
-  let* _ = as_int "params.n" n in
-  let* f = field "params" "f" params in
-  let* _ = as_int "params.f" f in
-  let* mode = field "params" "mode" params in
-  let* _ = as_string "params.mode" mode in
-  let* messages = field "report" "messages" j in
-  let* message_fields = as_obj "messages" messages in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        validate_msg_stats ("messages." ^ name) v)
-      (Ok ()) message_fields
-  in
-  let* ops = field "report" "ops" j in
-  let* op_fields = as_obj "ops" ops in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        validate_op_summary ("ops." ^ name) v)
-      (Ok ()) op_fields
-  in
-  let* stab = field "report" "stabilization_time" j in
-  let* () =
-    match stab with
-    | Json.Null | Json.Int _ -> Ok ()
-    | _ -> Error "stabilization_time: expected null or an integer"
-  in
-  let* counters = field "report" "counters" j in
-  let* counter_fields = as_obj "counters" counters in
-  let* () =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* () = acc in
-        let* _ = as_int ("counters." ^ name) v in
-        Ok ())
-      (Ok ()) counter_fields
-  in
-  Ok ()
+  let* _ = int_field "params" "n" params in
+  let* _ = int_field "params" "f" params in
+  let* _ = str_field "params" "mode" params in
+  let* () = each_member ctx "messages" validate_msg_stats j in
+  let* () = each_member ctx "ops" validate_op_summary j in
+  let* _ = field ctx "stabilization_time" j in
+  let* _ = opt_field ctx "stabilization_time" as_int j in
+  each_member ctx "counters"
+    (fun ctx v ->
+      let* _ = as_int ctx v in
+      Ok ())
+    j
 
 (* --- file output --- *)
 

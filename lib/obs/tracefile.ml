@@ -10,40 +10,10 @@ let header ~experiment ~seed =
 
 (* --- validation ------------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_string ctx j =
-  match Json.to_string_opt j with
-  | Some s -> Ok s
-  | None -> Error (ctx ^ ": expected a string")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let str_field ctx key j =
-  let* v = field ctx key j in
-  as_string (ctx ^ "." ^ key) v
+open Json.Decode
 
 let validate_header j =
-  let* schema = str_field "header" "schema" j in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "header: schema mismatch: got %S, want %S" schema
-           schema_version)
-  in
+  let* _ = check_schema "header" [ schema_version ] j in
   let* _ = str_field "header" "experiment" j in
   let* _ = int_field "header" "seed" j in
   Ok ()
@@ -79,11 +49,8 @@ let validate_event j =
     let* _ = str_field ctx "op" j in
     let* () =
       if String.equal kind "op-return" then
-        let* ok = field ctx "ok" j in
-        match ok with
-        | Json.Bool _ -> Ok ()
-        | Json.Null | Json.Str _ | Json.Int _ | Json.Float _ | Json.List _
-        | Json.Obj _ -> Error (ctx ^ ".ok: expected a boolean")
+        let* _ = bool_field ctx "ok" j in
+        Ok ()
       else Ok ()
     in
     span_fields ctx j

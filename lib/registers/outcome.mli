@@ -55,3 +55,21 @@ val pp :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 
 val reason_to_json : reason -> Obs.Json.t
+
+type tally = { ok : int; degraded : int; timed_out : int }
+(** Outcome-kind counts for one operation kind, as recorded in the
+    recovery and shard-report artifacts. *)
+
+val zero_tally : tally
+
+val add_tally : tally -> tally -> tally
+
+val bump_tally : ?count:int -> tally -> 'a t -> tally
+(** Count [count] (default 1) operations that finished with this
+    outcome. *)
+
+val pp_tally : Format.formatter -> tally -> unit
+
+val tally_to_json : tally -> Obs.Json.t
+
+val tally_of_json : string -> Obs.Json.t -> (tally, string) result

@@ -97,22 +97,11 @@ let last_disturbance c =
       max acc (match cr.down_for with Some d -> cr.at + d | None -> cr.at))
     inj c.crashes
 
-type tally = { ok : int; degraded : int; timed_out : int }
-
-let zero_tally = { ok = 0; degraded = 0; timed_out = 0 }
-
-let add_tally a b =
-  {
-    ok = a.ok + b.ok;
-    degraded = a.degraded + b.degraded;
-    timed_out = a.timed_out + b.timed_out;
-  }
-
-let bump_tally t (o : _ Registers.Outcome.t) ~count =
-  match o with
-  | Registers.Outcome.Ok _ -> { t with ok = t.ok + count }
-  | Registers.Outcome.Degraded _ -> { t with degraded = t.degraded + count }
-  | Registers.Outcome.Timed_out _ -> { t with timed_out = t.timed_out + count }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 
 type latency = {
   count : int;
@@ -185,8 +174,8 @@ let empty_shard_report ~shard ~keys =
     shard;
     keys;
     ops = 0;
-    writes = zero_tally;
-    reads = zero_tally;
+    writes = Registers.Outcome.zero_tally;
+    reads = Registers.Outcome.zero_tally;
     register_writes = 0;
     register_reads = 0;
     write_batches = 0;
@@ -257,7 +246,8 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
            ops)
     in
     let n_reads = List.length ops - n_writes in
-    let writes = ref zero_tally and reads = ref zero_tally in
+    let writes = ref Registers.Outcome.zero_tally
+    and reads = ref Registers.Outcome.zero_tally in
     let register_writes = ref 0 and register_reads = ref 0 in
     let write_batches = ref 0 and read_batches = ref 0 in
     let now_int () = Sim.Vtime.to_int (Harness.Scenario.now scn) in
@@ -299,7 +289,9 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
                  oracle must treat it as a write that may be read. *)
               Oracles.History.record (history_for k) ~proc:"router.w"
                 ~kind:Oracles.History.Write ~inv ~resp v;
-              writes := bump_tally !writes o ~count:(List.length ops_k);
+              writes :=
+                Registers.Outcome.bump_tally !writes o
+                  ~count:(List.length ops_k);
               List.iter
                 (fun op ->
                   observe_op ~kind_label:"write" o op
@@ -329,7 +321,8 @@ let run_shard cfg ~seed ~shard ~keys_owned ~(ops : Workload.Openloop.op list)
               Oracles.History.record (history_for k) ~proc:"router.r"
                 ~kind:Oracles.History.Read ~inv ~resp ~ok:false
                 Registers.Value.bot);
-            reads := bump_tally !reads o ~count:(List.length ops_k);
+            reads :=
+              Registers.Outcome.bump_tally !reads o ~count:(List.length ops_k);
             List.iter
               (fun op ->
                 observe_op ~kind_label:"read" o op
@@ -448,13 +441,13 @@ let run ?on_scenario ?(domains = 1) cfg ~seed =
   in
   let writes =
     List.fold_left
-      (fun acc (r : shard_report) -> add_tally acc r.writes)
-      zero_tally shard_reports
+      (fun acc (r : shard_report) -> Registers.Outcome.add_tally acc r.writes)
+      Registers.Outcome.zero_tally shard_reports
   in
   let reads =
     List.fold_left
-      (fun acc (r : shard_report) -> add_tally acc r.reads)
-      zero_tally shard_reports
+      (fun acc (r : shard_report) -> Registers.Outcome.add_tally acc r.reads)
+      Registers.Outcome.zero_tally shard_reports
   in
   let target = match cfg.chaos with Some c -> c.target | None -> -1 in
   let isolated =
@@ -515,14 +508,6 @@ let config_to_json (c : config) =
       );
     ]
 
-let tally_to_json (t : tally) =
-  Obs.Json.Obj
-    [
-      ("ok", Obs.Json.Int t.ok);
-      ("degraded", Obs.Json.Int t.degraded);
-      ("timed_out", Obs.Json.Int t.timed_out);
-    ]
-
 let latency_to_json (l : latency) =
   Obs.Json.Obj
     [
@@ -540,8 +525,8 @@ let shard_report_to_json (r : shard_report) =
       ("shard", Obs.Json.Int r.shard);
       ("keys", Obs.Json.Int r.keys);
       ("ops", Obs.Json.Int r.ops);
-      ("writes", tally_to_json r.writes);
-      ("reads", tally_to_json r.reads);
+      ("writes", Registers.Outcome.tally_to_json r.writes);
+      ("reads", Registers.Outcome.tally_to_json r.reads);
       ("register_writes", Obs.Json.Int r.register_writes);
       ("register_reads", Obs.Json.Int r.register_reads);
       ("write_batches", Obs.Json.Int r.write_batches);
@@ -565,68 +550,20 @@ let to_json (r : report) =
         Obs.Json.List (List.map (fun s -> Obs.Json.Int s) r.key_owners) );
       ("shards", Obs.Json.List (List.map shard_report_to_json r.shards));
       ("ops", Obs.Json.Int r.ops);
-      ("writes", tally_to_json r.writes);
-      ("reads", tally_to_json r.reads);
+      ("writes", Registers.Outcome.tally_to_json r.writes);
+      ("reads", Registers.Outcome.tally_to_json r.reads);
       ("duration", Obs.Json.Int r.duration);
       ("isolated", Obs.Json.Bool r.isolated);
       ("clean", Obs.Json.Bool r.clean);
     ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field ctx key j =
-  match Obs.Json.member key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing field %S" ctx key)
-
-let as_int ctx j =
-  match Obs.Json.to_int_opt j with
-  | Some i -> Ok i
-  | None -> Error (ctx ^ ": expected an integer")
-
-let as_float ctx j =
-  match Obs.Json.to_float_opt j with
-  | Some f -> Ok f
-  | None -> Error (ctx ^ ": expected a number")
-
-let int_field ctx key j =
-  let* v = field ctx key j in
-  as_int (ctx ^ "." ^ key) v
-
-let float_field ctx key j =
-  let* v = field ctx key j in
-  as_float (ctx ^ "." ^ key) v
-
-let bool_field ctx key j =
-  let* v = field ctx key j in
-  match v with
-  | Obs.Json.Bool b -> Ok b
-  | _ -> Error (ctx ^ "." ^ key ^ ": expected a boolean")
-
-let list_field ctx key of_item j =
-  let* v = field ctx key j in
-  match Obs.Json.to_list_opt v with
-  | None -> Error (ctx ^ "." ^ key ^ ": expected a list")
-  | Some items ->
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* x = of_item item in
-        Ok (x :: acc))
-      (Ok []) items
-    |> Result.map List.rev
+open Obs.Json.Decode
 
 let crash_of_json j =
   let ctx = "crash" in
   let* at = int_field ctx "at" j in
   let* server = int_field ctx "server" j in
-  let* down_for =
-    match Obs.Json.member "down_for" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some v ->
-      let* d = as_int "crash.down_for" v in
-      Ok (Some d)
-  in
+  let* down_for = opt_field ctx "down_for" as_int j in
   Ok { at; server; down_for }
 
 let chaos_of_json j =
@@ -645,20 +582,8 @@ let config_of_json j =
   let* retry = bool_field ctx "retry" j in
   let* workload = field ctx "workload" j in
   let* workload = Workload.Openloop.config_of_json workload in
-  let* chaos =
-    match Obs.Json.member "chaos" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some c ->
-      let* c = chaos_of_json c in
-      Ok (Some c)
-  in
+  let* chaos = opt_field ctx "chaos" (fun _ c -> chaos_of_json c) j in
   Ok { shards; vnodes; n; f; retry; workload; chaos }
-
-let tally_of_json ctx j =
-  let* ok = int_field ctx "ok" j in
-  let* degraded = int_field ctx "degraded" j in
-  let* timed_out = int_field ctx "timed_out" j in
-  Ok { ok; degraded; timed_out }
 
 let latency_of_json j =
   let ctx = "latency" in
@@ -675,10 +600,12 @@ let shard_report_of_json j =
   let* shard = int_field ctx "shard" j in
   let* keys = int_field ctx "keys" j in
   let* ops = int_field ctx "ops" j in
-  let* writes = field ctx "writes" j in
-  let* writes = tally_of_json (ctx ^ ".writes") writes in
-  let* reads = field ctx "reads" j in
-  let* reads = tally_of_json (ctx ^ ".reads") reads in
+  let* writes =
+    req_field ctx "writes" Registers.Outcome.tally_of_json j
+  in
+  let* reads =
+    req_field ctx "reads" Registers.Outcome.tally_of_json j
+  in
   let* register_writes = int_field ctx "register_writes" j in
   let* register_reads = int_field ctx "register_reads" j in
   let* write_batches = int_field ctx "write_batches" j in
@@ -686,14 +613,7 @@ let shard_report_of_json j =
   let* latency = field ctx "latency" j in
   let* latency = latency_of_json latency in
   let* duration = int_field ctx "duration" j in
-  let* stuck =
-    list_field ctx "stuck"
-      (fun item ->
-        match Obs.Json.to_string_opt item with
-        | Some s -> Ok s
-        | None -> Error "shard.stuck: expected strings")
-      j
-  in
+  let* stuck = list_field ctx "stuck" (as_string "shard.stuck") j in
   let* reads_checked = int_field ctx "reads_checked" j in
   let* violations = int_field ctx "violations" j in
   let* liveness = int_field ctx "liveness" j in
@@ -720,41 +640,25 @@ let shard_report_of_json j =
 
 let of_json j =
   let ctx = "shard-report" in
-  let* s = field ctx "schema" j in
-  let* s =
-    match Obs.Json.to_string_opt s with
-    | Some s -> Ok s
-    | None -> Error "shard-report.schema: expected a string"
+  let* _ = check_schema ctx [ schema ] j in
+  let* seed = int_field ctx "seed" j in
+  let* config = field ctx "config" j in
+  let* config = config_of_json config in
+  let* key_owners = list_field ctx "key_owners" (as_int "key_owners") j in
+  let* shards = list_field ctx "shards" shard_report_of_json j in
+  let* ops = int_field ctx "ops" j in
+  let* writes =
+    req_field ctx "writes" Registers.Outcome.tally_of_json j
   in
-  if not (String.equal s schema) then
-    Error (Printf.sprintf "unsupported shard-report schema %S (want %S)" s schema)
-  else
-    let* seed = int_field ctx "seed" j in
-    let* config = field ctx "config" j in
-    let* config = config_of_json config in
-    let* key_owners = list_field ctx "key_owners" (as_int "key_owners") j in
-    let* shards = list_field ctx "shards" shard_report_of_json j in
-    let* ops = int_field ctx "ops" j in
-    let* writes = field ctx "writes" j in
-    let* writes = tally_of_json (ctx ^ ".writes") writes in
-    let* reads = field ctx "reads" j in
-    let* reads = tally_of_json (ctx ^ ".reads") reads in
-    let* duration = int_field ctx "duration" j in
-    let* isolated = bool_field ctx "isolated" j in
-    let* clean = bool_field ctx "clean" j in
-    Ok
-      {
-        seed;
-        config;
-        key_owners;
-        shards;
-        ops;
-        writes;
-        reads;
-        duration;
-        isolated;
-        clean;
-      }
+  let* reads =
+    req_field ctx "reads" Registers.Outcome.tally_of_json j
+  in
+  let* duration = int_field ctx "duration" j in
+  let* isolated = bool_field ctx "isolated" j in
+  let* clean = bool_field ctx "clean" j in
+  Ok
+    { seed; config; key_owners; shards; ops; writes; reads; duration;
+      isolated; clean }
 
 let replay ?on_scenario ?domains r = run ?on_scenario ?domains r.config ~seed:r.seed
 
@@ -764,9 +668,7 @@ let matches (a : report) (b : report) =
   && a.reads = b.reads && a.duration = b.duration
   && a.isolated = b.isolated && a.clean = b.clean
 
-let pp_tally fmt (t : tally) =
-  Format.fprintf fmt "%d ok / %d degraded / %d timed out" t.ok t.degraded
-    t.timed_out
+let pp_tally = Registers.Outcome.pp_tally
 
 let pp_shard fmt (r : shard_report) =
   Format.fprintf fmt

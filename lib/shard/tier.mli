@@ -54,7 +54,11 @@ val validate : config -> (unit, string) result
 val key_name : int -> string
 (** The schema name of key rank [k] (["key-007"] style). *)
 
-type tally = { ok : int; degraded : int; timed_out : int }
+type tally = Registers.Outcome.tally = {
+  ok : int;
+  degraded : int;
+  timed_out : int;
+}
 (** Typed-outcome counts over {e logical} ops (each op in a coalesced
     batch inherits its register op's outcome). *)
 
